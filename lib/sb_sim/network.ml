@@ -46,58 +46,6 @@ let g_msgs_ps = Sb_obs.Metrics.gauge "sim.msgs_per_sec"
 let g_bytes_ps = Sb_obs.Metrics.gauge "sim.bytes_per_sec"
 let wall_lock = Mutex.create ()
 
-let count_channels envs =
-  (* (broadcast, p2p) among party-sourced traffic; ideal-channel
-     envelopes are counted separately under sim.envelopes.func. *)
-  List.fold_left
-    (fun (b, p) e ->
-      if Envelope.is_func_bound e then (b, p)
-      else if Envelope.is_broadcast e then (b + 1, p)
-      else (b, p + 1))
-    (0, 0) envs
-
-let count_bytes envs =
-  (* (broadcast, p2p) wire bytes; a broadcast envelope is one channel
-     use and counted once, matching sim.broadcasts. *)
-  List.fold_left
-    (fun (b, p) e ->
-      if Envelope.is_func_bound e then (b, p)
-      else if Envelope.is_broadcast e then (b + Envelope.wire_size e, p)
-      else (b, p + Envelope.wire_size e))
-    (0, 0) envs
-
-(* Per-run communication tally for [?record_comm]: like count_channels
-   + count_bytes in one pass, with a one-slot physical-equality cache
-   for body sizes — a send-all fan-out shares one body across n
-   envelopes, so the size walk runs once per distinct body instead of
-   once per envelope. Independent of the global metrics registry: the
-   large-n experiments need per-run numbers without retaining traces
-   and without adding counters to every report's metrics block. *)
-let comm_tally cached_body cached_size envs (b, p, bb, pb) =
-  List.fold_left
-    (fun (b, p, bb, pb) e ->
-      if Envelope.is_func_bound e then (b, p, bb, pb)
-      else begin
-        let body = e.Envelope.body in
-        let size =
-          if body == !cached_body then !cached_size
-          else begin
-            let s = Msg.size_bytes body in
-            cached_body := body;
-            cached_size := s;
-            s
-          end
-        in
-        let w =
-          Envelope.endpoint_size e.Envelope.src
-          + Envelope.endpoint_size e.Envelope.dst
-          + size
-        in
-        if Envelope.is_broadcast e then (b + 1, p, bb + w, pb)
-        else (b, p + 1, bb, pb + w)
-      end)
-    (b, p, bb, pb) envs
-
 type interceptor = round:int -> Envelope.t list -> Envelope.t list
 
 (* The round loop runs five explicit phases over a route-indexed
@@ -174,19 +122,20 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
   let router_cap = if reuse_envelopes then n else 0 in
   let mailboxes = ref (Router.create ~cap:router_cap n) in
   let staging = ref (Router.create ~cap:router_cap n) in
-  let trace = ref [] in
-  (* ?record_comm accumulators (per-run, metrics-independent). *)
-  let c_bcast = ref 0 and c_p2p_bytes = ref 0 and c_bcast_bytes = ref 0 in
-  let c_deliveries = ref 0 in
-  let cached_body = ref Msg.Unit in
-  let cached_size = ref (Msg.size_bytes Msg.Unit) in
   (* Monte-Carlo sampling passes [record_trace:false]: the per-round
      envelope lists are then dropped as soon as the round ends instead
-     of being retained for the whole run, and the p2p tally below is
-     the only thing kept. *)
-  let p2p_count = ref 0 in
+     of being retained for the whole run, and the tally below is the
+     only thing kept. *)
+  let trace = ref [] in
   Sb_obs.Metrics.incr m_runs;
   let metrics_run = Sb_obs.Metrics.enabled () in
+  (* Every traffic figure of the run — p2p_messages, comm, the sim.*
+     traffic counters and the network.run event — reads this one tally.
+     Bodies are sized only when a byte figure is reported. *)
+  let tally = Trace.tally ~bytes:(record_comm || metrics_run) in
+  let deliveries = ref 0 in
+  let events = Sb_obs.Sink.attached () > 0 in
+  let per_round = ref [] in
   let run_t0 = if metrics_run then Unix.gettimeofday () else 0.0 in
   (* Causal tracing (Trace_ctx): off by default, one boolean load here.
      When enabled, this run becomes one session span tree — session ->
@@ -237,42 +186,39 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
       else Sb_obs.Trace_ctx.none
     in
     (* 1. Deliver + collect: honest parties step on their mailboxes. *)
+    let s_collect =
+      if tracing then Sb_obs.Trace_ctx.begin_span ~agg:"collect" ~cat:"phase" "collect"
+      else Sb_obs.Trace_ctx.none
+    in
     let honest_out =
-      if tracing then begin
-        let s_collect =
-          Sb_obs.Trace_ctx.begin_span ~agg:"collect" ~cat:"phase" "collect"
-        in
-        let out =
-          List.concat_map
-            (fun (id, party) ->
+      List.concat_map
+        (fun (id, party) ->
+          let sp =
+            if tracing then begin
               let sp =
                 Sb_obs.Trace_ctx.begin_span ~agg:"party" ~cat:"party"
                   ~args:[ ("id", string_of_int id) ]
                   (Printf.sprintf "P%d" id)
               in
               party_span.(id) <- sp;
-              let inbox =
-                Sb_obs.Trace_ctx.with_span ~agg:"deliver" ~cat:"phase" "deliver"
-                  (fun () -> Router.inbox inbox_router id)
-              in
-              let out = party.Party.step ~round ~inbox in
-              List.iter (fun e -> assert (Envelope.src_is e id)) out;
-              Sb_obs.Trace_ctx.end_span sp;
-              out)
-            parties
-        in
-        Sb_obs.Trace_ctx.end_span s_collect;
-        out
-      end
-      else
-        List.concat_map
-          (fun (id, party) ->
-            let out = party.Party.step ~round ~inbox:(Router.inbox inbox_router id) in
-            (* Authenticated channels: an honest party only speaks as itself. *)
-            List.iter (fun e -> assert (Envelope.src_is e id)) out;
-            out)
-          parties
+              sp
+            end
+            else Sb_obs.Trace_ctx.none
+          in
+          let inbox =
+            if tracing then
+              Sb_obs.Trace_ctx.with_span ~agg:"deliver" ~cat:"phase" "deliver" (fun () ->
+                  Router.inbox inbox_router id)
+            else Router.inbox inbox_router id
+          in
+          let out = party.Party.step ~round ~inbox in
+          (* Authenticated channels: an honest party only speaks as itself. *)
+          List.iter (fun e -> assert (Envelope.src_is e id)) out;
+          Sb_obs.Trace_ctx.end_span sp;
+          out)
+        parties
     in
+    Sb_obs.Trace_ctx.end_span s_collect;
     (* 2. Rush: the adversary sees same-round honest traffic — minus
        the ideal channel to the functionality — plus everything the
        router delivered to the corrupted set this round. *)
@@ -323,34 +269,28 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
           (List.length honest_out) (List.length adv_out) (List.length func_in)
           (List.length func_out)
           (if last then " (final)" else ""));
-    (* 5. Record round observations, then queue next-round deliveries.
-       count_channels is an allocation-free fold, so tallying p2p
-       traffic incrementally costs nothing even with metrics off. *)
+    (* 5. Record the round's traffic as sent — the final round's
+       output is discarded, so it is not traffic — then queue
+       next-round deliveries. *)
     if not last then begin
-      let _, hp = count_channels honest_out and _, ap = count_channels adv_out in
-      p2p_count := !p2p_count + hp + ap
-    end;
-    if record_comm && not last then begin
-      let b, _, bb, pb =
-        comm_tally cached_body cached_size adv_out
-          (comm_tally cached_body cached_size honest_out (0, 0, 0, 0))
-      in
-      c_bcast := !c_bcast + b;
-      c_bcast_bytes := !c_bcast_bytes + bb;
-      c_p2p_bytes := !c_p2p_bytes + pb
+      let nh = Trace.add tally honest_out and na = Trace.add tally adv_out in
+      if metrics_on || events then begin
+        let nf = List.length func_out in
+        if metrics_on then begin
+          Sb_obs.Metrics.incr ~by:nh m_honest;
+          Sb_obs.Metrics.incr ~by:na m_adv;
+          Sb_obs.Metrics.incr ~by:nf m_func;
+          Sb_obs.Metrics.incr ~by:(List.length adv_out_raw - na) m_forged
+        end;
+        if events then per_round := (nh, na, nf) :: !per_round
+      end;
+      if record_trace then
+        trace :=
+          { Trace.round; honest_sent = honest_out; adv_sent = adv_out; func_sent = func_out }
+          :: !trace
     end;
     if metrics_on then begin
       Sb_obs.Metrics.incr m_rounds;
-      Sb_obs.Metrics.incr ~by:(List.length honest_out) m_honest;
-      Sb_obs.Metrics.incr ~by:(List.length adv_out) m_adv;
-      Sb_obs.Metrics.incr ~by:(List.length func_out) m_func;
-      Sb_obs.Metrics.incr ~by:(List.length adv_out_raw - List.length adv_out) m_forged;
-      let hb, hp = count_channels honest_out and ab, ap = count_channels adv_out in
-      Sb_obs.Metrics.incr ~by:(hb + ab) m_bcast;
-      Sb_obs.Metrics.incr ~by:(hp + ap) m_p2p;
-      let hbb, hpb = count_bytes honest_out and abb, apb = count_bytes adv_out in
-      Sb_obs.Metrics.incr ~by:(hbb + abb) m_bytes_bcast;
-      Sb_obs.Metrics.incr ~by:(hpb + apb) m_bytes_p2p;
       Sb_obs.Metrics.observe h_round_us ((Unix.gettimeofday () -. t0) *. 1e6)
     end;
     let next = !staging in
@@ -359,7 +299,7 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
       (fun e -> if not (Envelope.is_func_bound e) then Router.route next e)
       all_out;
     Router.route_all next func_out;
-    if record_comm then c_deliveries := !c_deliveries + Router.total next;
+    if record_comm then deliveries := !deliveries + Router.total next;
     Sb_obs.Trace_ctx.end_span s_route;
     if tracing && not last then begin
       (* One causal edge per delivered envelope: sender span -> next
@@ -381,21 +321,23 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
     end;
     staging := inbox_router;
     mailboxes := next;
-    Sb_obs.Trace_ctx.end_span s_round;
-    if record_trace && not last then
-      trace :=
-        { Trace.round; honest_sent = honest_out; adv_sent = adv_out; func_sent = func_out }
-        :: !trace
+    Sb_obs.Trace_ctx.end_span s_round
   done;
   if tracing then begin
     pending := [];
     Sb_obs.Trace_ctx.end_span s_session
   end;
   if metrics_run && Sb_obs.Metrics.enabled () then begin
-    (* Fold this run's wall time into the cumulative total and refresh
-       the throughput gauges from the cumulative counters. Gauges are
+    (* Add the run's traffic to the counters (once per run, so the
+       body-sizing decision taken at the start covers all of it), fold
+       its wall time into the cumulative total and refresh the
+       throughput gauges from the cumulative counters. Gauges are
        wall-clock derived and therefore not part of the deterministic
        counter surface. *)
+    Sb_obs.Metrics.incr ~by:tally.Trace.broadcasts m_bcast;
+    Sb_obs.Metrics.incr ~by:tally.Trace.p2p m_p2p;
+    Sb_obs.Metrics.incr ~by:tally.Trace.broadcast_bytes m_bytes_bcast;
+    Sb_obs.Metrics.incr ~by:tally.Trace.p2p_bytes m_bytes_p2p;
     let wall = Unix.gettimeofday () -. run_t0 in
     Mutex.lock wall_lock;
     let total = Sb_obs.Metrics.gauge_value g_wall +. wall in
@@ -408,36 +350,35 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
     end;
     Mutex.unlock wall_lock
   end;
-  let trace = List.rev !trace in
-  if Sb_obs.Sink.attached () > 0 then
+  if events then
     Sb_obs.Event.emit "network.run"
       ~fields:
       [
         ("protocol", Sb_obs.Json.Str protocol.name);
         ("rounds", Sb_obs.Json.Int total_rounds);
         ("corrupted", Sb_obs.Json.Int (List.length corrupted));
-        ("p2p", Sb_obs.Json.Int !p2p_count);
+        ("p2p", Sb_obs.Json.Int tally.Trace.p2p);
         ( "per_round",
           Sb_obs.Json.List
-            (List.map
+            (List.rev_map
                (fun (h, a, f) -> Sb_obs.Json.List [ Sb_obs.Json.Int h; Sb_obs.Json.Int a; Sb_obs.Json.Int f ])
-               (Trace.per_round_counts trace)) );
+               !per_round) );
       ];
   {
     outputs = List.map (fun (id, party) -> (id, party.Party.output ())) parties;
     adv_output = strategy.Adversary.adv_output ();
     corrupted;
     rounds_used = total_rounds;
-    p2p_messages = !p2p_count;
-    trace;
+    p2p_messages = tally.Trace.p2p;
+    trace = List.rev !trace;
     comm =
       (if record_comm then
          Some
            {
-             broadcasts = !c_bcast;
-             broadcast_bytes = !c_bcast_bytes;
-             p2p_bytes = !c_p2p_bytes;
-             deliveries = !c_deliveries;
+             broadcasts = tally.Trace.broadcasts;
+             broadcast_bytes = tally.Trace.broadcast_bytes;
+             p2p_bytes = tally.Trace.p2p_bytes;
+             deliveries = !deliveries;
            }
        else None);
   }

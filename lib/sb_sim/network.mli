@@ -5,9 +5,11 @@
     are read in linear time instead of re-filtering a flat list per
     party, while staying byte-identical to the flat-list semantics
     (Router's ordering invariant; pinned by test/test_router.ml).
-    Wire-size accounting rides on the same loop: with metrics enabled,
-    [sim.bytes.broadcast] and [sim.bytes.p2p] accumulate
-    {!Envelope.wire_size} over party-sourced traffic.
+    Every traffic figure of a run — [p2p_messages], [comm], the
+    [sim.broadcasts]/[sim.p2p]/[sim.bytes.*] counters and the
+    [network.run] event — comes from one {!Trace.tally} fed each
+    round's traffic as sent (pre-fault), the same rule the trace-side
+    counts of {!Trace} apply.
 
     Each round proceeds in a fixed order that encodes the model
     (deliver -> collect -> rush -> intercept -> route):
@@ -36,10 +38,9 @@ type comm = {
       (** inbox arrivals including broadcast fan-out — the per-round
           {!Router.total} summed over the run *)
 }
-(** Per-run communication totals, tallied incrementally under
-    [?record_comm] — independent of the global metrics registry and of
-    the trace, so large-n runs get exact wire accounting without
-    retaining a single envelope list. [p2p] message counts stay in
+(** Per-run communication totals under [?record_comm], read off the
+    run's {!Trace.tally}: exact wire accounting without retaining a
+    single envelope list. [p2p] message counts stay in
     [result.p2p_messages], which is always tallied. *)
 
 type result = {
@@ -83,11 +84,10 @@ val run :
     incrementally and unaffected. Monte-Carlo samplers, which never
     read the trace, pass [false]; outputs are identical either way.
 
-    [record_comm] (default [false]): when [true], tally per-run
-    communication totals into [result.comm] — incrementally, as each
-    round's traffic is routed, never by retaining envelope lists. The
-    tallies read delivered traffic only and touch no RNG stream, so
-    outputs are byte-identical either way.
+    [record_comm] (default [false]): when [true], fill [result.comm].
+    The tally then also sizes every body, as it does whenever metrics
+    are on; it touches no RNG stream, so outputs are byte-identical
+    either way.
 
     [reuse_envelopes] (default [false]): when [true] and [ctx] carries
     an arena pool ({!Ctx.make} [?pool]), the run flips the arena once

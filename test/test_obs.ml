@@ -342,12 +342,12 @@ let test_histogram_bucket_mismatch_warns_once () =
 
 let fixture_protocol = Sb_protocols.Gennaro.protocol
 
-let run_fixture () =
+let run_fixture ?record_trace () =
   let ctx = Sb_sim.Ctx.make ~rng:(Sb_util.Rng.create 2026) ~n:5 ~thresh:2 ~k:8 () in
   let inputs = Array.init 5 (fun i -> Sb_sim.Msg.Bit (i mod 2 = 0)) in
   Sb_sim.Network.run ctx ~rng:(Sb_util.Rng.create 7) ~protocol:fixture_protocol
     ~adversary:(Core.Adversaries.semi_honest fixture_protocol ~corrupt:[ 3; 4 ])
-    ~inputs ()
+    ~inputs ?record_trace ()
 
 let render (r : Sb_sim.Network.result) =
   let outputs =
@@ -374,26 +374,115 @@ let test_instrumentation_is_inert () =
   let plain_again = render (run_fixture ()) in
   Alcotest.(check string) "still identical after disabling" plain plain_again
 
+(* One traffic rule, every view: on each broadcast substrate and on a
+   protocol that talks to its functionality, fault-free and under
+   crash+drop+delay, the run's comm block and p2p count, the trace-side
+   counts and the sim.* counters all describe the same traffic, and the
+   envelope-recycling path reproduces the fault-free comm block. *)
+let traffic_cases =
+  Core.Resilience.substrates () @ [ ("pi-g", Sb_protocols.Pi_g.protocol) ]
+
+let traffic_plans =
+  [
+    ("fault-free", []);
+    ( "crash+drop+delay",
+      Sb_fault.Plan.crash ~party:4 ~round:1
+      :: Sb_fault.Plan.drop ~src:1 0.2
+      :: [ Sb_fault.Plan.delay ~src:0 1 ] );
+  ]
+
+let run_traffic ?pool ?faults ~reuse_envelopes ~record_trace protocol =
+  let n = 5 in
+  let ctx = Sb_sim.Ctx.make ?pool ~rng:(Sb_util.Rng.create 4242) ~n ~thresh:1 ~k:8 () in
+  let inputs = Array.init n (fun i -> Sb_sim.Msg.Bit (i mod 2 = 0)) in
+  Sb_sim.Network.run ctx ~rng:(Sb_util.Rng.create 11) ~protocol
+    ~adversary:(Core.Adversaries.semi_honest protocol ~corrupt:[ 3 ])
+    ~inputs ~record_trace ~record_comm:true ~reuse_envelopes ?faults ()
+
+let comm_fields (c : Sb_sim.Network.comm) =
+  Sb_sim.Network.[ c.broadcasts; c.broadcast_bytes; c.p2p_bytes; c.deliveries ]
+
 let test_network_counters_match_trace () =
-  with_obs (fun () ->
-      let r = run_fixture () in
-      let per_round = Sb_sim.Trace.per_round_counts r.Sb_sim.Network.trace in
-      let sum f = List.fold_left (fun acc t -> acc + f t) 0 per_round in
-      let honest = sum (fun (h, _, _) -> h)
-      and adv = sum (fun (_, a, _) -> a)
-      and func = sum (fun (_, _, f) -> f) in
-      let counter name = Metrics.counter_value (Metrics.counter name) in
-      Alcotest.(check int) "honest envelopes" honest (counter "sim.envelopes.honest");
-      Alcotest.(check int) "adv envelopes" adv (counter "sim.envelopes.adv");
-      Alcotest.(check int) "func envelopes" func (counter "sim.envelopes.func");
-      Alcotest.(check int) "rounds = rounds_used + final delivery" (r.Sb_sim.Network.rounds_used + 1)
-        (counter "sim.rounds");
-      Alcotest.(check int) "p2p agrees with trace"
-        (Sb_sim.Trace.p2p_message_count r.Sb_sim.Network.trace)
-        (counter "sim.p2p");
-      Alcotest.(check int) "broadcasts agree with trace"
-        (Sb_sim.Trace.broadcast_count r.Sb_sim.Network.trace)
-        (counter "sim.broadcasts"))
+  List.iter
+    (fun (name, protocol) ->
+      List.iter
+        (fun (plan_name, plan) ->
+          let label what = Printf.sprintf "%s, %s: %s" name plan_name what in
+          let faults = if plan = [] then None else Some (Sb_fault.Inject.compile ~n:5 plan) in
+          let comm =
+            with_obs (fun () ->
+                let r = run_traffic ?faults ~reuse_envelopes:false ~record_trace:true protocol in
+                let trace = r.Sb_sim.Network.trace in
+                let comm = Option.get r.Sb_sim.Network.comm in
+                let counter name = Metrics.counter_value (Metrics.counter name) in
+                let per_round = Sb_sim.Trace.per_round_counts trace in
+                let sum f = List.fold_left (fun acc t -> acc + f t) 0 per_round in
+                let check what expected got = Alcotest.(check int) (label what) expected got in
+                let bcast_bytes, p2p_bytes = Sb_sim.Trace.wire_bytes trace in
+                check "comm broadcasts = trace" (Sb_sim.Trace.broadcast_count trace)
+                  comm.Sb_sim.Network.broadcasts;
+                check "p2p_messages = trace" (Sb_sim.Trace.p2p_message_count trace)
+                  r.Sb_sim.Network.p2p_messages;
+                check "comm broadcast bytes = trace" bcast_bytes comm.Sb_sim.Network.broadcast_bytes;
+                check "comm p2p bytes = trace" p2p_bytes comm.Sb_sim.Network.p2p_bytes;
+                check "sim.broadcasts" comm.Sb_sim.Network.broadcasts (counter "sim.broadcasts");
+                check "sim.p2p" r.Sb_sim.Network.p2p_messages (counter "sim.p2p");
+                check "sim.bytes.broadcast" comm.Sb_sim.Network.broadcast_bytes
+                  (counter "sim.bytes.broadcast");
+                check "sim.bytes.p2p" comm.Sb_sim.Network.p2p_bytes (counter "sim.bytes.p2p");
+                check "sim.envelopes.honest" (sum (fun (h, _, _) -> h)) (counter "sim.envelopes.honest");
+                check "sim.envelopes.adv" (sum (fun (_, a, _) -> a)) (counter "sim.envelopes.adv");
+                check "sim.envelopes.func" (sum (fun (_, _, f) -> f)) (counter "sim.envelopes.func");
+                check "sim.rounds = rounds_used + final delivery"
+                  (r.Sb_sim.Network.rounds_used + 1) (counter "sim.rounds");
+                Alcotest.(check bool) (label "traffic was sent") true
+                  (sum (fun (h, a, _) -> h + a) > 0);
+                comm)
+          in
+          if plan = [] then begin
+            let arena =
+              run_traffic ~pool:(Sb_sim.Envelope.Arena.create ()) ~reuse_envelopes:true
+                ~record_trace:false protocol
+            in
+            Alcotest.(check (list int)) (label "arena path comm")
+              (comm_fields comm)
+              (comm_fields (Option.get arena.Sb_sim.Network.comm))
+          end)
+        traffic_plans)
+    traffic_cases
+
+let test_run_event_independent_of_trace () =
+  (* The network.run event describes the run, not what it retained:
+     the same seed must emit the same event with and without a trace. *)
+  let event record_trace =
+    with_obs (fun () ->
+        let sink, read = Sink.memory () in
+        Sink.attach sink;
+        Event.reset ();
+        let r = run_fixture ~record_trace () in
+        let lines =
+          List.filter
+            (fun l ->
+              match Json.of_string l with
+              | Ok j -> Json.member "ev" j = Some (Json.Str "network.run")
+              | Error _ -> false)
+            (read ())
+        in
+        (r.Sb_sim.Network.rounds_used, lines))
+  in
+  let rounds, traced = event true in
+  let _, untraced = event false in
+  Alcotest.(check (list string)) "same event" traced untraced;
+  let per_round =
+    match untraced with
+    | [ l ] ->
+        Result.to_option (Json.of_string l)
+        |> Fun.flip Option.bind (Json.member "per_round")
+        |> Fun.flip Option.bind Json.to_list_opt
+    | _ -> None
+  in
+  Alcotest.(check (option int)) "one per_round entry per sending round" (Some rounds)
+    (Option.map List.length per_round)
 
 let test_messages_from_agrees_with_per_round () =
   let r = run_fixture () in
@@ -477,6 +566,8 @@ let () =
         [
           Alcotest.test_case "instrumentation is inert" `Quick test_instrumentation_is_inert;
           Alcotest.test_case "counters match trace" `Quick test_network_counters_match_trace;
+          Alcotest.test_case "network.run event without trace" `Quick
+            test_run_event_independent_of_trace;
           Alcotest.test_case "messages_from vs per_round_counts" `Quick
             test_messages_from_agrees_with_per_round;
         ] );

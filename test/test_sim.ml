@@ -411,6 +411,26 @@ let test_network_rejects_wrong_input_count () =
     (fun () ->
       ignore (Network.honest_run ctx ~rng:(rng ()) ~protocol:relay_protocol ~inputs:[| Msg.Unit |]))
 
+let test_network_rejects_reuse_with_retention () =
+  (* Envelope recycling is only sound when nothing keeps envelopes past
+     their delivery round: the trace and delay-fault queues both do. *)
+  let ctx = make_ctx () in
+  let inputs = Array.make 4 Msg.Unit in
+  let expected =
+    Invalid_argument "Network.run: reuse_envelopes requires record_trace:false and no faults"
+  in
+  Alcotest.check_raises "with record_trace" expected (fun () ->
+      ignore
+        (Network.honest_run ~record_trace:true ~reuse_envelopes:true ctx ~rng:(rng ())
+           ~protocol:relay_protocol ~inputs));
+  Alcotest.check_raises "with faults" expected (fun () ->
+      ignore
+        (Network.run ctx ~rng:(rng ()) ~protocol:relay_protocol
+           ~adversary:(Adversary.passive relay_protocol) ~inputs ~record_trace:false
+           ~reuse_envelopes:true
+           ~faults:(fun ~rng:_ ~round:_ envs -> envs)
+           ()))
+
 let test_broadcast_channel_semantics () =
   (* One broadcast envelope reaches every party identically, and a
      corrupted party cannot broadcast under an honest source id. *)
@@ -532,6 +552,8 @@ let () =
           Alcotest.test_case "deterministic under seed" `Quick
             test_network_deterministic_under_seed;
           Alcotest.test_case "wrong input count" `Quick test_network_rejects_wrong_input_count;
+          Alcotest.test_case "reuse_envelopes guard" `Quick
+            test_network_rejects_reuse_with_retention;
           Alcotest.test_case "broadcast channel semantics" `Quick
             test_broadcast_channel_semantics;
           Alcotest.test_case "aux input plumbing" `Quick test_aux_input_reaches_adversary;
