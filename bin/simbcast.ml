@@ -307,8 +307,16 @@ let run_cmd =
             let x =
               match inputs with
               | Some s ->
-                  if String.length s <> n then failwith "input length must equal n"
-                  else Sb_util.Bitvec.of_string s
+                  (* A malformed -x is a usage error with exit 2, like
+                     --n-max and check, not an uncaught exception. *)
+                  if String.length s = n && String.for_all (fun c -> c = '0' || c = '1') s
+                  then Sb_util.Bitvec.of_string s
+                  else begin
+                    Printf.eprintf
+                      "simbcast: -x must be %d bits (one 0 or 1 per party, n = %d), got %S\n"
+                      n n s;
+                    exit 2
+                  end
               | None -> Sb_util.Bitvec.random rng n
             in
             let setup = Core.Setup.{ default with n; thresh; seed } in

@@ -183,38 +183,38 @@ let check ?(max_states = 200_000) ?(default = Msg.Bit false) ~scheme ctx =
   let explore (config : Exec.config) =
     incr configs;
     let visited = Hashtbl.create 1024 in
-    let rec go prefix =
-      if !capped || all_violated () then ()
-      else
-        let snap = Exec.replay config prefix in
-        if Hashtbl.mem visited snap.Exec.digest then incr memo_hits
-        else begin
-          Hashtbl.add visited snap.Exec.digest ();
-          incr explored;
-          if !explored >= max_states then capped := true;
-          match snap.Exec.status with
-          | Exec.Terminal results ->
-              incr terminals;
-              List.iter
-                (fun (property, w) ->
-                  if !w = None && violated_at ~default config results property then
-                    w :=
-                      Some
-                        {
-                          w_property = property;
-                          w_sender = config.Exec.sender;
-                          w_value = config.Exec.value;
-                          w_faulty = config.Exec.faulty;
-                          w_decisions = prefix;
-                        })
-                found
-          | Exec.Mid out ->
-              List.iter
-                (fun d -> go (prefix @ [ d ]))
-                (decisions_for config prefix out)
-        end
+    let rec go snap =
+      if Hashtbl.mem visited snap.Exec.digest then incr memo_hits
+      else begin
+        Hashtbl.add visited snap.Exec.digest ();
+        incr explored;
+        if !explored >= max_states then capped := true;
+        match snap.Exec.status with
+        | Exec.Terminal results ->
+            incr terminals;
+            List.iter
+              (fun (property, w) ->
+                if !w = None && violated_at ~default config results property then
+                  w :=
+                    Some
+                      {
+                        w_property = property;
+                        w_sender = config.Exec.sender;
+                        w_value = config.Exec.value;
+                        w_faulty = config.Exec.faulty;
+                        w_decisions = snap.Exec.decisions;
+                      })
+              found
+        | Exec.Mid out ->
+            (* No child is built once the budget is spent or every
+               property already has a witness. *)
+            List.iter
+              (fun d ->
+                if not (!capped || all_violated ()) then go (Exec.child config snap d))
+              (decisions_for config snap.Exec.decisions out)
+      end
     in
-    go []
+    go (Exec.root config)
   in
   List.iter
     (fun faulty ->

@@ -14,7 +14,21 @@ type config = {
 
 type status = Mid of Envelope.t list | Terminal of Msg.t array
 
-type snapshot = { digest : string; status : status }
+(* What a child needs from its parent besides the decision prefix:
+   [hist] is the per-party rolling hash chain over the inboxes
+   delivered up to and including the parent's Mid round, and
+   [out_keys] the envelope keys of that round's outgoing queue, in
+   queue order. Sessions are deterministic functions of (config,
+   delivered history), so the chain — not the opaque closure state —
+   canonically identifies each party's local state. *)
+type frontier = { hist : string array; out_keys : string list Lazy.t }
+
+type snapshot = {
+  digest : string;
+  status : status;
+  decisions : decision list;
+  frontier : frontier;
+}
 
 let total_rounds config = config.scheme.Sb_broadcast.Session.rounds config.ctx
 
@@ -31,21 +45,21 @@ let endpoint_key = function
   | Envelope.All -> "*"
 
 let envelope_key (e : Envelope.t) =
-  Printf.sprintf "%s>%s:%s" (endpoint_key e.Envelope.src) (endpoint_key e.Envelope.dst)
-    (Msg.serialize e.Envelope.body)
+  String.concat ""
+    [
+      endpoint_key e.Envelope.src; ">"; endpoint_key e.Envelope.dst; ":";
+      Msg.serialize e.Envelope.body;
+    ]
 
 let envelopes_key envs = String.concat ";" (List.map envelope_key envs)
 
-(* Mutable replay state. [hist] is a per-party rolling hash chain over
-   the inboxes delivered so far: sessions are deterministic functions
-   of (config, delivered history), so the chain — not the opaque
-   closure state — canonically identifies each party's local state. *)
+(* Mutable replay state: the live sessions plus the fault bookkeeping
+   interception consults. The in-flight queue is threaded through the
+   round functions instead, keyed or not. *)
 type state = {
   cfg : config;
   sessions : Sb_broadcast.Session.t array;
   crash_round : int array;
-  hist : string array;
-  mutable queue : Envelope.t list;  (* next round's deliveries, enqueue order *)
   held : (int, Envelope.t list ref) Hashtbl.t;  (* due round -> held, arrival order *)
 }
 
@@ -60,95 +74,92 @@ let create config =
           ~sid ~sender:config.sender ~me
           ~value:(if me = config.sender then Some config.value else None))
   in
-  {
-    cfg = config;
-    sessions;
-    crash_round = Array.make n max_int;
-    hist = Array.make n "";
-    queue = [];
-    held = Hashtbl.create 8;
-  }
+  { cfg = config; sessions; crash_round = Array.make n max_int; held = Hashtbl.create 8 }
 
-(* Deliver the pending queue and step every party — crashed parties
-   still step on their (possibly empty) inboxes, exactly as the real
-   network steps honest-but-silenced parties. Returns the round's
-   outgoing traffic in party-id order, as sent. *)
-let deliver_and_collect st ~round =
-  let n = st.cfg.ctx.Ctx.n in
+let inbox queue me = List.filter (fun e -> Envelope.delivered_to e me) queue
+
+(* Step every party on [inbox_of me] — crashed parties still step on
+   their (possibly empty) inboxes, exactly as the real network steps
+   honest-but-silenced parties. Returns the round's outgoing traffic
+   in party-id order, as sent. *)
+let step_round st ~round inbox_of =
   let out = ref [] in
-  for me = n - 1 downto 0 do
-    let inbox = List.filter (fun e -> Envelope.delivered_to e me) st.queue in
-    st.hist.(me) <- Digest.string (st.hist.(me) ^ "|" ^ envelopes_key inbox);
-    let sent = st.sessions.(me).Sb_broadcast.Session.step ~round ~inbox in
-    out := sent @ !out
+  for me = st.cfg.ctx.Ctx.n - 1 downto 0 do
+    let inbox = inbox_of me in
+    out := st.sessions.(me).Sb_broadcast.Session.step ~round ~inbox @ !out
   done;
   !out
 
-(* Apply one round's decision to the as-sent queue, mirroring
-   Inject.compile: crashes are tallied first and silence everything
-   from the sender (self-delivery and broadcast included); omissions
-   and delays are all-or-nothing for the round — the clean benign
-   model, matching [drop:1:p->*@r] / [delay:1:p->*@r] — and touch only
-   distinct-endpoint point-to-point envelopes; held envelopes due this
-   round re-enter ahead of the surviving fresh traffic. *)
-let intercept st ~round (decision : decision) out =
+(* Interception, mirroring Inject.compile: crashes are tallied first
+   and silence everything from the sender (self-delivery and broadcast
+   included); omissions and delays are all-or-nothing for the round —
+   the clean benign model, matching [drop:1:p->*@r] / [delay:1:p->*@r]
+   — and touch only distinct-endpoint point-to-point envelopes; held
+   envelopes due this round re-enter ahead of the surviving fresh
+   traffic. [open_round] tallies the crashes and returns the released
+   envelopes; [admits] decides one as-sent envelope, holding it when
+   delayed. *)
+let open_round st ~round (decision : decision) =
   List.iter
     (fun (p, a) ->
       if a = Crash then st.crash_round.(p) <- min st.crash_round.(p) round)
     decision;
-  let released =
-    match Hashtbl.find_opt st.held round with
-    | Some l ->
-        Hashtbl.remove st.held round;
-        List.rev !l
-    | None -> []
-  in
-  let hold ~due e =
-    match Hashtbl.find_opt st.held due with
-    | Some l -> l := e :: !l
-    | None -> Hashtbl.add st.held due (ref [ e ])
-  in
-  let keep =
-    List.filter
-      (fun (e : Envelope.t) ->
-        match Envelope.src_party e with
-        | Some i when round >= st.crash_round.(i) -> false
-        | src -> (
-            match (src, Envelope.dst_party e) with
-            | Some s, Some d when s <> d -> (
-                match List.assoc_opt s decision with
-                | Some Omit -> false
-                | Some Delay ->
-                    hold ~due:(round + 1) e;
-                    false
-                | Some Crash | None -> true)
-            | _ -> true))
-      out
-  in
-  st.queue <- released @ keep
+  match Hashtbl.find_opt st.held round with
+  | Some l ->
+      Hashtbl.remove st.held round;
+      List.rev !l
+  | None -> []
 
-(* Canonical state identity. Crash flags are booleans, not rounds:
-   once a party is crashed, every future filter decision is the same
-   whatever round it died in, and its delivered history is already in
-   [hist] — so crash-at-r and crash-at-r' schedules that produced the
-   same deliveries merge. At the terminal (round = total) the crash
-   flags and still-held envelopes are dead state — no decision round
-   remains that could consult or release them — so they are dropped
-   and e.g. omit-all and delay-all of the final round's traffic reach
-   the same state. *)
-let digest_of st ~round ~terminal =
-  let n = st.cfg.ctx.Ctx.n in
+let admits st ~round (decision : decision) (e : Envelope.t) =
+  match Envelope.src_party e with
+  | Some i when round >= st.crash_round.(i) -> false
+  | src -> (
+      match (src, Envelope.dst_party e) with
+      | Some s, Some d when s <> d -> (
+          match List.assoc_opt s decision with
+          | Some Omit -> false
+          | Some Delay ->
+              let due = round + 1 in
+              (match Hashtbl.find_opt st.held due with
+              | Some l -> l := e :: !l
+              | None -> Hashtbl.add st.held due (ref [ e ]));
+              false
+          | Some Crash | None -> true)
+      | _ -> true)
+
+let intercept st ~round decision out =
+  let released = open_round st ~round decision in
+  released @ List.filter (admits st ~round decision) out
+
+(* The same interception over [out] paired with its keys: released
+   envelopes are keyed here, surviving fresh ones keep theirs. *)
+let intercept_keyed st ~round decision out keys =
+  let released = open_round st ~round decision in
+  List.map (fun e -> (e, envelope_key e)) released
+  @ List.filter (fun (e, _) -> admits st ~round decision e) (List.combine out keys)
+
+(* Canonical state identity over the keyed in-flight [queue]. Crash
+   flags are booleans, not rounds: once a party is crashed, every
+   future filter decision is the same whatever round it died in, and
+   its delivered history is already in [hist] — so crash-at-r and
+   crash-at-r' schedules that produced the same deliveries merge. At
+   the terminal (round = total) the crash flags and still-held
+   envelopes are dead state — no decision round remains that could
+   consult or release them — so they are dropped and e.g. omit-all and
+   delay-all of the final round's traffic reach the same state. *)
+let digest_of st ~round ~terminal ~hist queue =
   let crashes =
     if terminal then ""
     else
-      String.init n (fun i -> if st.crash_round.(i) = max_int then '-' else 'x')
+      String.init st.cfg.ctx.Ctx.n (fun i ->
+          if st.crash_round.(i) = max_int then '-' else 'x')
   in
   let held =
     if terminal then ""
     else
       Hashtbl.fold (fun due l acc -> (due, envelopes_key (List.rev !l)) :: acc) st.held []
       |> List.sort compare
-      |> List.map (fun (due, k) -> Printf.sprintf "%d=%s" due k)
+      |> List.map (fun (due, k) -> string_of_int due ^ "=" ^ k)
       |> String.concat "&"
   in
   Digest.string
@@ -156,31 +167,80 @@ let digest_of st ~round ~terminal =
        [
          string_of_int round;
          crashes;
-         String.concat "!" (Array.to_list st.hist);
-         envelopes_key st.queue;
+         String.concat "!" (Array.to_list hist);
+         String.concat ";" (List.map snd queue);
          held;
        ])
 
-let replay config decisions =
-  let total = total_rounds config in
-  let len = List.length decisions in
-  assert (len <= total);
-  let st = create config in
-  List.iteri
-    (fun round decision ->
-      let out = deliver_and_collect st ~round in
-      intercept st ~round decision out)
-    decisions;
-  let digest = digest_of st ~round:len ~terminal:(len = total) in
-  if len = total then begin
-    (* The last round is delivery-only: the real network discards its
-       outgoing queue before interception. *)
-    let _discarded = deliver_and_collect st ~round:total in
-    let results =
-      Array.map (fun s -> s.Sb_broadcast.Session.result ()) st.sessions
-    in
-    { digest; status = Terminal results }
+let spent = { hist = [||]; out_keys = Lazy.from_val [] }
+
+(* Digest the state entering round [List.length decisions] — [hist]
+   covers every earlier round's deliveries, [queue] is this round's —
+   then run the round's deliveries. A Mid state extends the chain by
+   this round's inboxes, reusing the queue's keys; the final round is
+   delivery-only (the real network discards its outgoing queue before
+   interception) and its history never reaches a digest, so it is not
+   keyed. *)
+let settle st ~decisions ~hist queue =
+  let round = List.length decisions in
+  let terminal = round = total_rounds st.cfg in
+  let digest = digest_of st ~round ~terminal ~hist queue in
+  if terminal then begin
+    let envs = List.map fst queue in
+    let _discarded = step_round st ~round (inbox envs) in
+    let results = Array.map (fun s -> s.Sb_broadcast.Session.result ()) st.sessions in
+    { digest; status = Terminal results; decisions; frontier = spent }
   end
   else
-    let out = deliver_and_collect st ~round:len in
-    { digest; status = Mid out }
+    let hist = Array.copy hist in
+    let out =
+      step_round st ~round (fun me ->
+          let mine = List.filter (fun (e, _) -> Envelope.delivered_to e me) queue in
+          hist.(me) <- Digest.string (hist.(me) ^ "|" ^ String.concat ";" (List.map snd mine));
+          List.map fst mine)
+    in
+    {
+      digest;
+      status = Mid out;
+      decisions;
+      frontier = { hist; out_keys = lazy (List.map envelope_key out) };
+    }
+
+let mid_exn snap =
+  match snap.status with
+  | Mid out -> out
+  | Terminal _ -> invalid_arg "Sb_check.Exec: a terminal state has no children"
+
+(* [st] has just stepped [parent]'s Mid round, producing [out] — the
+   parent's queue, envelope for envelope, since replay is
+   deterministic — so the parent's keys pair with it by position. *)
+let extend st parent d out =
+  let round = List.length parent.decisions in
+  let queue =
+    intercept_keyed st ~round d out (Lazy.force parent.frontier.out_keys)
+  in
+  settle st ~decisions:(parent.decisions @ [ d ]) ~hist:parent.frontier.hist queue
+
+let start config =
+  let st = create config in
+  (st, settle st ~decisions:[] ~hist:(Array.make config.ctx.Ctx.n "") [])
+
+let root config = snd (start config)
+
+let child config parent d =
+  ignore (mid_exn parent);
+  (* Sessions are mutable closures and cannot be snapshotted: rebuild
+     them and re-step the prefix with the same inboxes, unkeyed. *)
+  let st = create config in
+  let round, queue =
+    List.fold_left
+      (fun (round, queue) decision ->
+        let out = step_round st ~round (inbox queue) in
+        (round + 1, intercept st ~round decision out))
+      (0, []) parent.decisions
+  in
+  extend st parent d (step_round st ~round (inbox queue))
+
+let replay config decisions =
+  let st, root = start config in
+  List.fold_left (fun snap d -> extend st snap d (mid_exn snap)) root decisions

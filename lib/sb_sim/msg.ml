@@ -125,7 +125,12 @@ let deserialize s =
       if p >= len then None
       else
         match s.[p] with
-        | '0' .. '9' -> scan_len (p + 1) ((10 * acc) + (Char.code s.[p] - Char.code '0'))
+        | '0' .. '9' ->
+            (* A length past the input is already invalid; stopping
+               there also keeps [acc] from overflowing into a negative
+               length that would pass the bounds checks below. *)
+            let acc = (10 * acc) + (Char.code s.[p] - Char.code '0') in
+            if acc > len then None else scan_len (p + 1) acc
         | ':' when p > pos -> Some (p + 1, acc)
         | _ -> None
     in

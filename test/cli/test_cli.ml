@@ -29,6 +29,11 @@ let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.ou
 
 let temp name = Filename.temp_file "simbcast_cli" name
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 (* --- strict argument parsing --------------------------------------- *)
 
 let test_trailing_args_rejected () =
@@ -197,6 +202,18 @@ let test_experiment_n_max_validation () =
   Alcotest.(check int) "n-max on a non-e17 experiment exits 2" 2
     (command [ "experiment"; "e4"; "--quick"; "--n-max"; "128" ])
 
+let test_run_inputs_validation () =
+  (* A -x vector of the wrong length or with a non-binary character is
+     a usage error with exit 2, not an uncaught exception (exit 125). *)
+  let out = temp ".run.err" in
+  Alcotest.(check int) "input length other than n exits 2" 2
+    (command ~out [ "run"; "bracha"; "-n"; "5"; "-x"; "101" ]);
+  Alcotest.(check bool) "length error names -x" true (contains (read_file out) "-x");
+  Alcotest.(check int) "non-binary input exits 2" 2
+    (command ~out [ "run"; "bracha"; "-n"; "5"; "-x"; "10a10" ]);
+  Alcotest.(check bool) "character error names -x" true (contains (read_file out) "-x");
+  Sys.remove out
+
 let test_experiment_e17_quick_report () =
   (* A capped quick sweep exits 0 and writes a validating report whose
      single experiment entry is E17 and ok. *)
@@ -321,11 +338,6 @@ let test_workload_jobs_invariant () =
 
 (* --- check ----------------------------------------------------------- *)
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 let test_check_usage_errors () =
   (* Unknown protocol and out-of-budget n are usage errors (exit 2 with
      a usage line), distinct from cmdliner's 124 for unparseable args. *)
@@ -426,6 +438,7 @@ let () =
           Alcotest.test_case "perf-diff exit codes" `Quick test_perf_diff_exit_codes;
           Alcotest.test_case "experiment --n-max validation" `Quick
             test_experiment_n_max_validation;
+          Alcotest.test_case "run -x validation" `Quick test_run_inputs_validation;
           Alcotest.test_case "e17 quick report validates" `Quick
             test_experiment_e17_quick_report;
           Alcotest.test_case "sessions --count validation" `Quick

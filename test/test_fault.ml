@@ -63,6 +63,50 @@ let test_plan_parse_errors () =
       "crash";             (* no ':' *)
     ]
 
+(* Robustness: [of_string] is total, and so are [validate] and
+   [to_string] on whatever it accepts. Inputs are arbitrary bytes,
+   grammar tokens spliced at random (huge and non-finite numbers
+   included), and mutated renderings of valid plans. *)
+let gen_plan_text =
+  QCheck.Gen.(
+    let token =
+      oneofl
+        [
+          "crash:"; "drop:"; "delay:"; "part:"; ";"; "@"; "->"; "*"; ":"; "|"; ","; "-";
+          "0"; "1"; "4"; "0.5"; "1e999"; "nan"; "inf"; "-1"; "99999999999999999999999";
+          "4611686018427387904"; " "; "";
+        ]
+    in
+    let valid =
+      oneofl
+        [
+          "crash:4@1;drop:0.1;delay:2:0->3;part:0,1|2,3,4@2-5";
+          "drop:1:2->0@1;delay:1:2->*@2";
+          "part:0|1@0-0";
+        ]
+    in
+    let mutated =
+      map3
+        (fun s at c ->
+          let b = Bytes.of_string s in
+          Bytes.set b (at mod Bytes.length b) c;
+          Bytes.sub_string b 0 (Bytes.length b - (at mod 4)))
+        valid nat char
+    in
+    frequency
+      [ (2, string ~gen:char); (4, map (String.concat "") (list_size (0 -- 12) token)); (3, mutated) ])
+
+let qcheck_plan_of_string_total =
+  QCheck.Test.make ~name:"plan of_string total on arbitrary bytes" ~count:1000
+    (QCheck.make ~print:String.escaped gen_plan_text)
+    (fun s ->
+      match Plan.of_string s with
+      | Ok plan ->
+          ignore (Plan.validate ~n:5 plan);
+          ignore (Plan.to_string plan);
+          true
+      | Error _ -> true)
+
 let test_plan_validate_errors () =
   List.iter
     (fun plan ->
@@ -317,6 +361,7 @@ let () =
           Alcotest.test_case "round scopes" `Quick test_plan_round_scopes;
           Alcotest.test_case "parse errors" `Quick test_plan_parse_errors;
           Alcotest.test_case "validate errors" `Quick test_plan_validate_errors;
+          QCheck_alcotest.to_alcotest qcheck_plan_of_string_total;
         ] );
       ( "interceptor",
         [

@@ -209,6 +209,92 @@ let test_report_shape () =
           Alcotest.(check (option string)) "id survives" (Some "E1")
             (Option.bind (Json.member "id" (List.hd exps)) Json.to_str_opt))
 
+(* Robustness: [Json.of_string] then [Report.validate] is total.
+   Inputs are arbitrary bytes, arrays and objects nested tens of
+   thousands deep, oversized numbers, mutated valid reports, and random
+   trees over the report schema's own keys (so [validate] walks deep
+   into wrongly typed blocks). *)
+let report_keys =
+  [
+    "schema_version"; "tool"; "tag"; "utc"; "experiments"; "id"; "title"; "ok";
+    "rows_checked"; "wall_clock_s"; "notes"; "metrics"; "counters"; "spans"; "comm";
+    "broadcasts"; "broadcast_bytes"; "parallel"; "jobs"; "timings"; "name"; "ns_per_run";
+    "r_square"; "sessions"; "trace"; "check"; "workload"; "tier"; "summary";
+  ]
+
+let gen_json_value =
+  QCheck.Gen.(
+    sized_size (0 -- 12)
+    @@ fix (fun self size ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) (oneof [ small_signed_int; int ]);
+                 map (fun f -> Json.Float f) float;
+                 map (fun s -> Json.Str s) (oneof [ small_string; oneofl [ "pass"; "E1" ] ]);
+               ]
+           in
+           if size <= 0 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 (2, map (fun l -> Json.List l) (list_size (0 -- 3) (self (size / 2))));
+                 ( 3,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (0 -- 5) (pair (oneofl report_keys) (self (size / 2)))) );
+               ]))
+
+let gen_json_text =
+  QCheck.Gen.(
+    let deep =
+      map2
+        (fun depth (opening, tail) ->
+          String.concat "" (List.init depth (fun _ -> opening)) ^ tail)
+        (0 -- 20_000)
+        (oneofl [ ("[", ""); ("[", "1]"); ("{\"a\":", "null}"); ("{\"check\":", "") ])
+    in
+    let number =
+      map2 (fun digits exp -> digits ^ exp)
+        (string_size ~gen:(char_range '0' '9') (1 -- 400))
+        (oneofl [ ""; "e999999"; ".5e-999999"; "e"; "-" ])
+    in
+    let valid =
+      Json.to_string
+        (Report.make ~tool:"fuzz" ~tag:"fuzz"
+           ~check:(Json.Obj [ ("n", Json.Int 4); ("agreement", Json.Str "pass") ])
+           ())
+    in
+    let mutated =
+      map2
+        (fun at c ->
+          let b = Bytes.of_string valid in
+          Bytes.set b (at mod Bytes.length b) c;
+          Bytes.sub_string b 0 (Bytes.length b - (at mod 7)))
+        nat char
+    in
+    frequency
+      [
+        (2, string ~gen:char); (1, deep); (1, number); (3, mutated);
+        (3, map (fun v -> Json.to_string v) gen_json_value);
+        ( 3,
+          map
+            (fun v ->
+              Json.to_string (Json.Obj [ ("schema_version", Json.Int Report.schema_version); ("x", v) ]))
+            gen_json_value );
+      ])
+
+let qcheck_json_report_total =
+  QCheck.Test.make ~name:"json of_string + report validate total" ~count:500
+    (QCheck.make ~print:(fun s -> String.escaped (String.sub s 0 (min 200 (String.length s)))) gen_json_text)
+    (fun s ->
+      match Json.of_string s with
+      | Ok j -> ( match Report.validate j with Ok () | Error _ -> true)
+      | Error _ -> true)
+
 let test_report_validate_rejects () =
   let wrong = Json.Obj [ ("schema_version", Json.Int 999) ] in
   (match Report.validate wrong with
@@ -551,6 +637,7 @@ let () =
         [
           Alcotest.test_case "shape and reparse" `Quick test_report_shape;
           Alcotest.test_case "validate rejects" `Quick test_report_validate_rejects;
+          QCheck_alcotest.to_alcotest qcheck_json_report_total;
         ] );
       ( "event",
         [

@@ -141,6 +141,51 @@ let qcheck_msg_deserialize_roundtrip =
       | Some m' -> Msg.equal m m'
       | None -> false)
 
+(* Robustness: [deserialize] is total. Arbitrary bytes, frames whose
+   length prefix overflows an int, lists nested thousands deep, and
+   mutated encodings all come back as a value, never an exception. *)
+let gen_wire =
+  QCheck.Gen.(
+    let frame =
+      map2
+        (fun c digits -> String.make 1 c ^ digits ^ ":")
+        (oneofl [ 'i'; 'f'; 'g'; 's'; 'l'; 't' ])
+        (string_size ~gen:(char_range '0' '9') (1 -- 40))
+    in
+    let spliced =
+      map (String.concat "")
+        (list_size (1 -- 8)
+           (oneof [ frame; oneofl [ "u"; "b0"; "b1"; "l0:"; "" ]; string_size ~gen:char (0 -- 4) ]))
+    in
+    (* Well-framed lists around a unit, [depth] deep, with [tail]
+       appended: valid up to the tail, so the parser goes all the way
+       down before it can reject. *)
+    let nested =
+      map2
+        (fun depth tail ->
+          let rec wrap k inner =
+            if k = 0 then inner
+            else wrap (k - 1) ("l" ^ string_of_int (String.length inner) ^ ":" ^ inner)
+          in
+          wrap depth "u" ^ tail)
+        (0 -- 2000)
+        (oneofl [ ""; "u"; "l"; "s9:" ])
+    in
+    let mutated =
+      map3
+        (fun m at c ->
+          let b = Bytes.of_string (Msg.serialize m) in
+          if Bytes.length b > 0 then Bytes.set b (at mod Bytes.length b) c;
+          Bytes.sub_string b 0 (max 0 (Bytes.length b - (at mod 3))))
+        gen_msg_full nat char
+    in
+    frequency [ (3, string ~gen:char); (3, spliced); (1, nested); (3, mutated) ])
+
+let qcheck_msg_deserialize_total =
+  QCheck.Test.make ~name:"msg deserialize total on arbitrary bytes" ~count:400
+    (QCheck.make ~print:String.escaped gen_wire)
+    (fun s -> match Msg.deserialize s with Some _ | None -> true)
+
 let test_msg_deserialize_rejects () =
   List.iter
     (fun s ->
@@ -534,6 +579,7 @@ let () =
             test_msg_deserialize_rejects;
           QCheck_alcotest.to_alcotest qcheck_msg_compare_total_order;
           QCheck_alcotest.to_alcotest qcheck_msg_deserialize_roundtrip;
+          QCheck_alcotest.to_alcotest qcheck_msg_deserialize_total;
           QCheck_alcotest.to_alcotest qcheck_msg_size_bytes;
         ] );
       ( "envelope",
