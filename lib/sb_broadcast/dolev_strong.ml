@@ -10,15 +10,14 @@ let base ~sid v = "ds:" ^ sid ^ ":" ^ Msg.serialize v
 let encode v sigs =
   Msg.List [ v; Msg.List (List.map (fun (i, s) -> Msg.List [ Msg.Int i; Msg.Str s ]) sigs) ]
 
-let decode m =
-  match m with
-  | Msg.List [ v; Msg.List sigs ] ->
+let decode_chain = function
+  | Msg.List sigs ->
       let decode_sig = function
         | Msg.List [ Msg.Int i; Msg.Str s ] -> Some (i, s)
         | _ -> None
       in
       let decoded = List.filter_map decode_sig sigs in
-      if List.length decoded = List.length sigs then Some (v, decoded) else None
+      if List.length decoded = List.length sigs then Some decoded else None
   | _ -> None
 
 (* Marks the chain's signer set in the session's scratch vector and
@@ -66,32 +65,44 @@ let scheme =
         let outbox : (Msg.t * (int * string) list) list ref = ref [] in
         let scratch = Bitvec.Mut.create n in
         let send_all m = Ctx.to_all ctx ~src:me (Session.wrap ~sid m) in
-        let valid_sigs v chain =
-          List.for_all
-            (fun (i, s) -> Sb_crypto.Sig.verify sigs ~signer:i (base ~sid v) s)
-            chain
+        (* The acceptance guard evaluates its cheap conjuncts (relay
+           budget and value not yet accepted, read off the raw message
+           before the chain is decoded; then chain length and signer
+           set) before the one SHA-256 per link that [Sig.verify]
+           costs, so the ~n relays of an already-accepted value are
+           dropped undecoded and unverified. Every conjunct is pure
+           ([signer_mask] restores its scratch), so the order changes
+           no decision; every chain that is accepted is still verified
+           link by link. *)
+        let fresh v =
+          List.length !accepted < 2 && not (List.exists (Msg.equal v) !accepted)
         in
         let process ~round inbox =
           List.iter
             (fun (e : Envelope.t) ->
-              match Option.bind (Session.unwrap ~sid e.Envelope.body) decode with
-              | Some (v, chain) -> (
-                  (* Signatures are prepended as the value travels, so
-                     the sender's signature sits at the tail. *)
-                  match signer_mask scratch ~n ~sender ~me chain with
-                  | Some (signed_by_sender, signed_by_me)
-                    when List.length chain >= round
-                         && signed_by_sender
-                         && valid_sigs v chain
-                         && (not (List.exists (Msg.equal v) !accepted))
-                         && List.length !accepted < 2 ->
-                      accepted := v :: !accepted;
-                      if round <= t && not signed_by_me then
-                        outbox :=
-                          (v, (me, Sb_crypto.Sig.sign sigs ~signer:me (base ~sid v)) :: chain)
-                          :: !outbox
+              match Session.unwrap ~sid e.Envelope.body with
+              | Some (Msg.List [ v; links ]) when fresh v -> (
+                  match decode_chain links with
+                  | Some chain when List.length chain >= round -> (
+                      (* Signatures are prepended as the value travels,
+                         so the sender's signature sits at the tail. *)
+                      match signer_mask scratch ~n ~sender ~me chain with
+                      | Some (true, signed_by_me) ->
+                          let b = base ~sid v in
+                          if
+                            List.for_all
+                              (fun (i, s) -> Sb_crypto.Sig.verify sigs ~signer:i b s)
+                              chain
+                          then begin
+                            accepted := v :: !accepted;
+                            if round <= t && not signed_by_me then
+                              outbox :=
+                                (v, (me, Sb_crypto.Sig.sign sigs ~signer:me b) :: chain)
+                                :: !outbox
+                          end
+                      | _ -> ())
                   | _ -> ())
-              | None -> ())
+              | _ -> ())
             inbox
         in
         let step ~round ~inbox =

@@ -21,11 +21,11 @@ let to_bit m = match m with Msg.Bit b -> b | _ -> false
    [Session.tag (session_id k)] for some k < n, i.e. exactly when the
    seed's per-sid filter would have kept it; everything else is
    dropped, as before. Buckets preserve inbox order, so each session
-   sees byte-identical input. *)
+   sees byte-identical input. The match allocates nothing per
+   envelope. *)
 let bucket_by_sid ~n envs =
   let buckets = Array.make n [] in
-  let pre = "bc:s" in
-  let lp = String.length pre in
+  let lp = String.length (Session.tag "s") in
   List.iter
     (fun (e : Envelope.t) ->
       match e.Envelope.body with
@@ -36,7 +36,7 @@ let bucket_by_sid ~n envs =
           if
             lt > lp
             && lt <= lp + 9
-            && String.sub t 0 lp = pre
+            && Session.has_tag_prefix ~sid:"s" t
             && not (t.[lp] = '0' && lt > lp + 1)
           then begin
             let ok = ref true and k = ref 0 in

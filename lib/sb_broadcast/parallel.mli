@@ -18,6 +18,12 @@ val session_id : int -> string
 (** The session id used for sender i, shared with adversaries that need
     to speak the same wire format. *)
 
+val bucket_by_sid : n:int -> Sb_sim.Envelope.t list -> Sb_sim.Envelope.t list array
+(** [bucket_by_sid ~n envs] splits a composed party's inbox by session
+    in one pass: bucket k holds, in inbox order, exactly the envelopes
+    whose tag equals [Session.tag (session_id k)]; every other envelope
+    is dropped. The tag match itself allocates nothing. *)
+
 val sequential : Session.scheme -> Sb_sim.Protocol.t
 val concurrent : Session.scheme -> Sb_sim.Protocol.t
 

@@ -38,6 +38,14 @@ type scheme = {
 val tag : string -> string
 (** [tag sid] is the message tag used by session [sid]. *)
 
+val has_tag : sid:string -> string -> bool
+(** [has_tag ~sid t] is [String.equal t (tag sid)], computed without
+    allocating; [unwrap] and [inbox_for] match tags with it. *)
+
+val has_tag_prefix : sid:string -> string -> bool
+(** [has_tag_prefix ~sid t] is [String.starts_with ~prefix:(tag sid) t],
+    computed without allocating. *)
+
 val wrap : sid:string -> Sb_sim.Msg.t -> Sb_sim.Msg.t
 val unwrap : sid:string -> Sb_sim.Msg.t -> Sb_sim.Msg.t option
 

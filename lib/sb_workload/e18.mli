@@ -1,7 +1,7 @@
 (** E18: the work-stealing scheduler on a heavy-tailed session mix.
 
-    Runs a two-protocol batch (a few 16/20-party Dolev-Strong sessions
-    among hundreds/thousands of 5-party Bracha votes), measures every
+    Runs a two-protocol batch (6 quick / 24 full 20-party Dolev-Strong
+    sessions among 600 / 2000 5-party Bracha votes), measures every
     session's wall clock on one worker, and greedy-list-schedules the
     per-shard costs of the {!Sb_session.Shard.Static} and
     {!Sb_session.Shard.Steal} layouts onto 4 modeled workers. Gates:

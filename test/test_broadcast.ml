@@ -832,15 +832,32 @@ end
    network schedule, adversarial traffic) is derived from [seed]
    alone, so running two schemes under the same seed feeds them
    identical traffic and their honest outputs must match exactly. *)
-let differential_outputs ?(thresh = 1) scheme ~sender ~adv ~seed =
+let differential_run ?(thresh = 1) scheme ~sender ~adv ~seed =
   let ctx = Ctx.make ~rng:(Sb_util.Rng.create (70000 + seed)) ~n:5 ~thresh ~k:8 () in
   let inputs = Array.init 5 (fun i -> Msg.Bit ((seed + i) mod 2 = 0)) in
-  let r =
-    Network.run ctx
-      ~rng:(Sb_util.Rng.create (80000 + seed))
-      ~protocol:(session_protocol scheme ~sender) ~adversary:(adv ~seed) ~inputs ()
-  in
-  List.map (fun (id, m) -> (id, Msg.serialize m)) r.Network.outputs
+  Network.run ctx
+    ~rng:(Sb_util.Rng.create (80000 + seed))
+    ~protocol:(session_protocol scheme ~sender) ~adversary:(adv ~seed) ~inputs ()
+
+let differential_outputs ?thresh scheme ~sender ~adv ~seed =
+  List.map
+    (fun (id, m) -> (id, Msg.serialize m))
+    (differential_run ?thresh scheme ~sender ~adv ~seed).Network.outputs
+
+(* Every honest party's outgoing envelopes, round by round, in send
+   order: "r<round> <src>-><dst> <serialized body>". *)
+let differential_traffic ?thresh scheme ~sender ~adv ~seed =
+  let endpoint = function Some i -> string_of_int i | None -> "*" in
+  List.concat_map
+    (fun (rr : Trace.round_record) ->
+      List.map
+        (fun (e : Envelope.t) ->
+          Printf.sprintf "r%d %s->%s %s" rr.Trace.round
+            (endpoint (Envelope.src_party e))
+            (endpoint (Envelope.dst_party e))
+            (Msg.serialize e.Envelope.body))
+        rr.Trace.honest_sent)
+    (differential_run ?thresh scheme ~sender ~adv ~seed).Network.trace
 
 (* Chaos traffic for Bracha: the corrupted party floods randomly
    chosen br-echo / br-ready messages over several distinct values
@@ -930,6 +947,92 @@ let ds_chaos ~seed =
                        Envelope.to_all ~n:ctx.Ctx.n ~src:4
                          (Sb_broadcast.Session.wrap ~sid:"test"
                             (Msg.List [ v; Msg.List chain ])))));
+          adv_output = (fun () -> Msg.Unit);
+        });
+  }
+
+(* Chaos traffic for Dolev-Strong from a corrupted sender (P0): it
+   equivocates at round 0 (each party gets a sender-signed chain for a
+   random value, some get a second one), and in every later round it
+   sends each party chains for values the honest parties have already
+   accepted: replays of rushed honest relays (valid chains), the same
+   relays with one link's signature corrupted, forged second links, a
+   sender signature claimed by another signer, and bare sender-signed
+   chains that are too short past round 1. *)
+let ds_sender_chaos ~seed =
+  {
+    Adversary.name = "ds-sender-chaos";
+    choose_corrupt = (fun _ ~rng:_ -> [ 0 ]);
+    init =
+      (fun ctx ~rng:_ ~corrupted:_ ~inputs:_ ~aux:_ ->
+        let arng = Sb_util.Rng.create (96000 + seed) in
+        let sigs = ctx.Ctx.sigs in
+        let n = ctx.Ctx.n in
+        let base v = "ds:test:" ^ Msg.serialize v in
+        let link i s = Msg.List [ Msg.Int i; Msg.Str s ] in
+        let good v = link 0 (Sb_crypto.Sig.sign sigs ~signer:0 (base v)) in
+        let send dst v chain =
+          Envelope.make ~src:0 ~dst
+            (Sb_broadcast.Session.wrap ~sid:"test" (Msg.List [ v; Msg.List chain ]))
+        in
+        (* Three candidate values, so the two-acceptance relay budget
+           is exercised, not just value distinctness. *)
+        let rand_v () =
+          match Sb_util.Rng.int arng 3 with
+          | 0 -> Msg.Bit true
+          | 1 -> Msg.Bit false
+          | _ -> Msg.Int 2
+        in
+        {
+          Adversary.act =
+            (fun view ->
+              let relays =
+                List.filter_map
+                  (fun (e : Envelope.t) ->
+                    match Sb_broadcast.Session.unwrap ~sid:"test" e.Envelope.body with
+                    | Some (Msg.List [ v; Msg.List chain ]) -> Some (v, chain)
+                    | _ -> None)
+                  view.Adversary.rushed
+              in
+              let pick l = List.nth l (Sb_util.Rng.int arng (List.length l)) in
+              if view.Adversary.round = 0 then
+                List.concat
+                  (List.init n (fun dst ->
+                       let v = rand_v () in
+                       let first = send dst v [ good v ] in
+                       if Sb_util.Rng.int arng 3 = 0 then
+                         let w = rand_v () in
+                         [ first; send dst w [ good w ] ]
+                       else [ first ]))
+              else
+                List.concat
+                  (List.init n (fun dst ->
+                       List.init 3 (fun _ ->
+                           match Sb_util.Rng.int arng 5 with
+                           | 0 when relays <> [] ->
+                               let v, chain = pick relays in
+                               send dst v chain
+                           | 1 when relays <> [] -> (
+                               let v, chain = pick relays in
+                               match chain with
+                               | Msg.List [ i; Msg.Str _ ] :: rest ->
+                                   send dst v (Msg.List [ i; Msg.Str "bad-sig" ] :: rest)
+                               | _ -> send dst v chain)
+                           | 2 ->
+                               let v = rand_v () in
+                               let forger = 1 + Sb_util.Rng.int arng 4 in
+                               send dst v [ link forger "forged"; good v ]
+                           | 3 ->
+                               let v = rand_v () in
+                               send dst v
+                                 [
+                                   link (1 + Sb_util.Rng.int arng 4)
+                                     (Sb_crypto.Sig.sign sigs ~signer:0 (base v));
+                                   good v;
+                                 ]
+                           | _ ->
+                               let v = rand_v () in
+                               send dst v [ good v ]))));
           adv_output = (fun () -> Msg.Unit);
         });
   }
@@ -1044,12 +1147,34 @@ let test_bracha_differential () =
          ~adv:(bracha_chaos ~corrupt:0) ~seed)
   done
 
+let traffic_t = Alcotest.(list string)
+
+(* Decisions and every honest party's per-round traffic must match the
+   pinned verify-first seed, for a chaotic non-sender (t = 1) and an
+   equivocating, forging sender (t = 1 and t = 2). *)
 let test_dolev_strong_differential () =
-  for seed = 1 to 25 do
-    Alcotest.check outputs_t "dolev-strong vs seed (chain chaos)"
-      (differential_outputs Seed_dolev_strong.scheme ~sender:0 ~adv:ds_chaos ~seed)
-      (differential_outputs Sb_broadcast.Dolev_strong.scheme ~sender:0 ~adv:ds_chaos ~seed)
-  done
+  let cases =
+    [
+      ("chain chaos", 1, ds_chaos);
+      ("sender chaos t=1", 1, ds_sender_chaos);
+      ("sender chaos t=2", 2, ds_sender_chaos);
+    ]
+  in
+  List.iter
+    (fun (label, thresh, adv) ->
+      for seed = 1 to 25 do
+        Alcotest.check outputs_t
+          ("dolev-strong outputs vs seed: " ^ label)
+          (differential_outputs ~thresh Seed_dolev_strong.scheme ~sender:0 ~adv ~seed)
+          (differential_outputs ~thresh Sb_broadcast.Dolev_strong.scheme ~sender:0 ~adv
+             ~seed);
+        Alcotest.check traffic_t
+          ("dolev-strong traffic vs seed: " ^ label)
+          (differential_traffic ~thresh Seed_dolev_strong.scheme ~sender:0 ~adv ~seed)
+          (differential_traffic ~thresh Sb_broadcast.Dolev_strong.scheme ~sender:0 ~adv
+             ~seed)
+      done)
+    cases
 
 let test_send_echo_differential () =
   for seed = 1 to 25 do
@@ -1074,6 +1199,59 @@ let test_eig_differential () =
       (differential_outputs ~thresh:2 Sb_broadcast.Eig.scheme ~sender:0 ~adv:eig_chaos
          ~seed)
   done
+
+(* --- tag matching: the non-allocating paths vs String.equal ------- *)
+
+(* Tags and sids glued from pieces that sit next to a real session tag:
+   a missing or wrong "bc:" prefix, sid prefixes and extensions
+   ("s1" vs "s10" / "s01"), empty strings and long digit runs. *)
+let tag_piece =
+  QCheck.Gen.oneofl
+    [ ""; "bc:"; "bc:s"; "bc"; "b"; ":"; "bd:"; "BC:"; "s"; "0"; "1"; "01"; "10"; "9";
+      "s1"; "s10"; "s01"; "12345678901234567890"; "x" ]
+
+let tag_string = QCheck.Gen.(map (String.concat "") (list_size (int_range 0 4) tag_piece))
+
+let tag_pairs =
+  let fixed =
+    [ ("s1", "bc:s1"); ("s1", "bc:s10"); ("s1", "bc:s01"); ("s1", "bc:"); ("s1", "");
+      ("s1", "xc:s1"); ("s1", "bc;s1"); ("", "bc:"); ("", "");
+      ("s123456789012", "bc:s123456789012"); ("s12345678901", "bc:s123456789012") ]
+  in
+  QCheck.make
+    ~print:(fun (sid, t) -> Printf.sprintf "sid=%S tag=%S" sid t)
+    QCheck.Gen.(
+      frequency
+        [ (1, oneofl fixed); (1, map (fun s -> (s, "bc:" ^ s)) tag_string);
+          (1, map (fun k -> ("", "bc:s" ^ string_of_int k)) (int_range 0 1500));
+          (4, pair tag_string tag_string) ])
+
+let envelope_tagged t = Envelope.make ~src:0 ~dst:1 (Msg.Tag (t, Msg.Unit))
+
+let qcheck_session_tag_match =
+  QCheck.Test.make ~name:"session tag match = String.equal" ~count:3000 tag_pairs
+    (fun (sid, t) ->
+      let module S = Sb_broadcast.Session in
+      let expected = String.equal t (S.tag sid) in
+      S.has_tag ~sid t = expected
+      && Option.is_some (S.unwrap ~sid (Msg.Tag (t, Msg.Unit))) = expected
+      && (S.inbox_for ~sid [ envelope_tagged t ] <> []) = expected)
+
+(* bucket_by_sid parses the sender index out of "bc:s<k>"; an envelope
+   must land in bucket k exactly when its tag is session k's tag. *)
+let qcheck_bucket_tag_match =
+  QCheck.Test.make ~name:"bucket_by_sid = String.equal on session tags" ~count:3000
+    QCheck.(pair tag_pairs (int_range 1 1200))
+    (fun ((_, t), n) ->
+      let buckets = Sb_broadcast.Parallel.bucket_by_sid ~n [ envelope_tagged t ] in
+      let landed = List.filter (fun k -> buckets.(k) <> []) (List.init n Fun.id) in
+      let expected =
+        List.filter
+          (fun k ->
+            String.equal t (Sb_broadcast.Session.tag (Sb_broadcast.Parallel.session_id k)))
+          (List.init n Fun.id)
+      in
+      landed = expected)
 
 let () =
   let scheme_cases name scheme =
@@ -1109,6 +1287,8 @@ let () =
           Alcotest.test_case "send-echo slots = seed semantics" `Quick
             test_send_echo_differential;
           Alcotest.test_case "eig distinct = seed semantics" `Quick test_eig_differential;
+          QCheck_alcotest.to_alcotest qcheck_session_tag_match;
+          QCheck_alcotest.to_alcotest qcheck_bucket_tag_match;
         ] );
       ( "phase-king",
         [

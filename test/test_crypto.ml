@@ -531,6 +531,40 @@ let test_sig_schemes_independent () =
   Alcotest.(check bool) "cross-scheme rejected" false
     (Sig.verify s2 ~signer:0 m (Sig.sign s1 ~signer:0 m))
 
+(* [Sig.sign] streams its parts into one SHA-256 context; it must equal
+   the one-shot digest of the concatenation. The keys are abstract, so
+   they are re-derived from a twin of the creation RNG: [Sig.create]
+   draws one 32-byte key per party, in order. Messages cover the empty
+   string and lengths past one 64-byte block. *)
+let test_sig_streamed_matches_concat () =
+  let n = 3 in
+  for seed = 1 to 20 do
+    let s = Sig.create (Sb_util.Rng.create (60000 + seed)) ~n in
+    let twin = Sb_util.Rng.create (60000 + seed) in
+    let keys = Array.init n (fun _ -> Sb_util.Rng.bytes twin 32) in
+    let mrng = Sb_util.Rng.create (61000 + seed) in
+    List.iter
+      (fun len ->
+        let msg = Sb_util.Rng.bytes mrng len in
+        for signer = 0 to n - 1 do
+          let expected =
+            Sha256.digest ("simbcast.sig.v1:" ^ keys.(signer) ^ "\x00" ^ msg)
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d len %d signer %d" seed len signer)
+            (Sha256.to_hex expected)
+            (Sha256.to_hex (Sig.sign s ~signer msg));
+          Alcotest.(check bool) "verifies" true (Sig.verify s ~signer msg expected);
+          Alcotest.(check bool) "wrong signer rejected" false
+            (Sig.verify s ~signer:((signer + 1) mod n) msg expected);
+          Alcotest.(check bool) "wrong message rejected" false
+            (Sig.verify s ~signer (msg ^ "x") expected);
+          Alcotest.(check bool) "out of range signer rejected" false
+            (Sig.verify s ~signer:n msg expected || Sig.verify s ~signer:(-1) msg expected)
+        done)
+      [ 0; 1; 14; 15; 63; 64; 65; 130 ]
+  done
+
 let () =
   Alcotest.run "sb_crypto"
     [
@@ -620,5 +654,7 @@ let () =
         [
           Alcotest.test_case "verify" `Quick test_sig_verify;
           Alcotest.test_case "schemes independent" `Quick test_sig_schemes_independent;
+          Alcotest.test_case "streamed sign = one-shot digest" `Quick
+            test_sig_streamed_matches_concat;
         ] );
     ]
