@@ -13,32 +13,61 @@ let lambdas n = Lagrange.at_zero n
 let encode_pairs tag pairs =
   Msg.Tag (tag, Msg.List (List.map (fun (w, v) -> Msg.List [ Msg.Int w; Msg.Fe v ]) pairs))
 
-let decode_pairs tag inbox =
-  List.concat_map
+(* [f src w v] for every well-formed (wire, value) pair of every
+   [tag]-tagged envelope from a party, in inbox order. Pairs naming a
+   wire outside [0, nwires) are dropped: a corrupted sender must not be
+   able to crash an honest party's step. *)
+let iter_pairs tag ~nwires inbox f =
+  List.iter
     (fun (e : Envelope.t) ->
-      match (Envelope.src_party e, e.Envelope.body) with
-      | Some src, Msg.Tag (t, Msg.List l) when String.equal t tag ->
-          List.filter_map
-            (function Msg.List [ Msg.Int w; Msg.Fe v ] -> Some (src, w, v) | _ -> None)
+      match (e.Envelope.src, e.Envelope.body) with
+      | Envelope.Party src, Msg.Tag (t, Msg.List l) when String.equal t tag ->
+          List.iter
+            (function
+              | Msg.List [ Msg.Int w; Msg.Fe v ] when w >= 0 && w < nwires -> f src w v
+              | _ -> ())
             l
-      | _ -> [])
+      | _ -> ())
     inbox
+
+(* One-byte flags: [known] per wire, [seen] per (slot, source). *)
+let flag b i = Bytes.get b i <> '\000'
+let set_flag b i = Bytes.set b i '\001'
 
 let protocol ~name ~circuit ~encode ~decode =
   let total_rounds = rounds circuit in
   (* The circuit is immutable once the protocol is built, so every
      derived view is computed here rather than per party step: the
-     gates array ([Circuit.gates] reverses a list per call), the mult
-     depth, the per-wire reshare layer, the output wires, and the
-     per-layer wire tags (identical strings to the old per-envelope
-     sprintf, so wire bytes are unchanged). The samplers run one
-     [make_party] per party per Monte-Carlo run; these views used to
-     be recomputed twice per step. *)
+     gates array, each layer's mult wires in wire order, a slot per
+     mult wire and per distinct output wire, and the per-layer wire
+     tags. The samplers run one [make_party] per party per Monte-Carlo
+     run. *)
   let n_layers = Circuit.layers circuit in
   let gates = Circuit.gates circuit in
   let nwires = Array.length gates in
-  let output_wires = Circuit.outputs circuit in
-  let mul_layer_of = Array.init nwires (fun w -> Circuit.mul_layer circuit w) in
+  let output_wires = List.map Circuit.wire_index (Circuit.outputs circuit) in
+  let layer_muls = Array.make (max 1 n_layers) [] in
+  for w = nwires - 1 downto 0 do
+    match gates.(w) with
+    | Circuit.Mul _ ->
+        let l = Circuit.mul_layer circuit w in
+        layer_muls.(l) <- w :: layer_muls.(l)
+    | _ -> ()
+  done;
+  let slots_of wires =
+    let slot = Array.make nwires (-1) in
+    let k = ref 0 in
+    List.iter
+      (fun w ->
+        if slot.(w) < 0 then begin
+          slot.(w) <- !k;
+          incr k
+        end)
+      wires;
+    (slot, !k)
+  in
+  let mul_slot, n_mul = slots_of (List.concat (Array.to_list layer_muls)) in
+  let out_slot, n_out = slots_of output_wires in
   let mul_tag = Array.init (max 1 n_layers) (fun l -> "bgw:mul:" ^ string_of_int l) in
   let make_party (ctx : Ctx.t) ~rng ~id ~input =
     assert (Circuit.n_parties circuit = ctx.Ctx.n);
@@ -51,115 +80,90 @@ let protocol ~name ~circuit ~encode ~decode =
     if List.length my_inputs <> Circuit.input_count circuit ~party:id then
       invalid_arg "Bgw.protocol: encode arity mismatch";
     let my_inputs = Array.of_list my_inputs in
-    (* Shares I hold: input-wire shares arrive in round 1; mult wires
-       resolve as their layer's reshares arrive. *)
-    let input_share : Field.t option array = Array.make nwires None in
-    let mul_share : Field.t option array = Array.make nwires None in
-    (* Collected degree-reduction subshares per mult wire. *)
-    let pending : (int, (int * Field.t) list ref) Hashtbl.t = Hashtbl.create 16 in
-    (* Output shares received per output wire, per source party. *)
-    let out_shares : (int, (int * Field.t) list ref) Hashtbl.t = Hashtbl.create 8 in
+    (* My share of every wire evaluated so far. A wire is evaluated
+       once: input wires when round 1's shares arrive, mult wires when
+       their last degree-reduction subshare arrives, every other wire
+       by [advance] as soon as its operands are known. *)
+    let values = Array.make nwires Field.zero in
+    let known = Bytes.make nwires '\000' in
+    (* Degree reduction per mult wire: the running recombination
+       Σ λ_src · subshare_src over the sources seen so far (the first
+       subshare from each source counts), keyed by wire, not by layer. *)
+    let mul_acc = Array.make n_mul Field.zero in
+    let mul_count = Array.make n_mul 0 in
+    let mul_seen = Bytes.make (n_mul * n) '\000' in
+    (* Output shares per distinct output wire and source; first wins. *)
+    let out_vals = Array.make (n_out * n) Field.zero in
+    let out_seen = Bytes.make (n_out * n) '\000' in
     let result = ref Msg.Unit in
-    let bucket table w =
-      match Hashtbl.find_opt table w with
-      | Some r -> r
-      | None ->
-          let r = ref [] in
-          Hashtbl.replace table w r;
-          r
+    let set w v =
+      values.(w) <- v;
+      set_flag known w
     in
-    (* Evaluate every wire whose dependencies are available; returns my
-       current share per wire (None where blocked on a mult). *)
-    let evaluate () =
-      let values : Field.t option array = Array.make nwires None in
+    let advance () =
       Array.iteri
         (fun w g ->
-          let v =
+          if not (flag known w) then
             match g with
-            | Circuit.Input _ -> input_share.(w)
-            | Circuit.Const v -> Some v (* shared as the constant polynomial *)
-            | Circuit.Add (a, b) -> (
-                match (values.((a :> int)), values.((b :> int))) with
-                | Some x, Some y -> Some (Field.add x y)
-                | _ -> None)
-            | Circuit.Sub (a, b) -> (
-                match (values.((a :> int)), values.((b :> int))) with
-                | Some x, Some y -> Some (Field.sub x y)
-                | _ -> None)
-            | Circuit.Scale (k, a) -> Option.map (Field.mul k) values.((a :> int))
-            | Circuit.Mul _ -> mul_share.(w)
-          in
-          values.(w) <- v)
-        gates;
-      values
+            | Circuit.Input _ | Circuit.Mul _ -> ()
+            | Circuit.Const v -> set w v (* shared as the constant polynomial *)
+            | Circuit.Add (a, b) ->
+                let a = (a :> int) and b = (b :> int) in
+                if flag known a && flag known b then set w (Field.add values.(a) values.(b))
+            | Circuit.Sub (a, b) ->
+                let a = (a :> int) and b = (b :> int) in
+                if flag known a && flag known b then set w (Field.sub values.(a) values.(b))
+            | Circuit.Scale (k, a) ->
+                let a = (a :> int) in
+                if flag known a then set w (Field.mul k values.(a)))
+        gates
     in
-    (* Emit degree-reduction subshares for every layer-[layer] mult
-       whose operands are ready. *)
-    let reshare_layer layer values =
-      let payload_for = Array.make n [] in
-      Array.iteri
-        (fun w g ->
-          match g with
-          | Circuit.Mul (a, b) when mul_layer_of.(w) = layer -> (
-              match (values.((a :> int)), values.((b :> int))) with
-              | Some x, Some y ->
-                  let d = Field.mul x y in
-                  let shares, _ = Shamir.share rng ~threshold:t ~parties:n ~secret:d in
-                  Array.iteri
-                    (fun j s ->
-                      payload_for.(j) <- (w, s.Shamir.value) :: payload_for.(j))
-                    shares
-              | _ -> ())
-          | _ -> ())
-        gates;
+    let absorb_subshare src w v =
+      let s = mul_slot.(w) in
+      if s >= 0 && not (flag mul_seen ((s * n) + src)) then begin
+        set_flag mul_seen ((s * n) + src);
+        mul_acc.(s) <- Field.add mul_acc.(s) (Field.mul lam.(src) v);
+        mul_count.(s) <- mul_count.(s) + 1;
+        if mul_count.(s) = n then set w mul_acc.(s)
+      end
+    in
+    let absorb_output src w v =
+      let s = out_slot.(w) in
+      if s >= 0 && not (flag out_seen ((s * n) + src)) then begin
+        set_flag out_seen ((s * n) + src);
+        out_vals.((s * n) + src) <- v
+      end
+    in
+    let reconstruct_output w =
+      let s = out_slot.(w) in
+      let points = ref [] in
+      for src = n - 1 downto 0 do
+        if flag out_seen ((s * n) + src) then
+          points := { Shamir.index = src; value = out_vals.((s * n) + src) } :: !points
+      done;
+      if List.length !points >= t + 1 then Shamir.reconstruct !points else Field.zero
+    in
+    (* Deal degree-t shares of [secret]: the k-th share goes to party k. *)
+    let deal payload_for w secret =
+      let shares, _ = Shamir.share rng ~threshold:t ~parties:n ~secret in
+      Array.iteri (fun j s -> payload_for.(j) <- (w, s.Shamir.value) :: payload_for.(j)) shares
+    in
+    let send tag payload_for =
       List.concat
         (List.init n (fun j ->
              if payload_for.(j) = [] then []
-             else
-               [ Envelope.make ~src:id ~dst:j (encode_pairs mul_tag.(layer) payload_for.(j)) ]))
+             else [ Envelope.make ~src:id ~dst:j (encode_pairs tag payload_for.(j)) ]))
     in
     let step ~round ~inbox =
       (* 1. Absorb whatever arrived. *)
       if round = 1 then
-        List.iter
-          (fun (_, w, v) -> if w < nwires then input_share.(w) <- Some v)
-          (decode_pairs "bgw:in" inbox);
-      if round >= 2 && round <= n_layers + 1 then begin
-        let layer = round - 2 in
-        List.iter
-          (fun (src, w, v) ->
-            let b = bucket pending w in
-            if not (List.mem_assoc src !b) then b := (src, v) :: !b)
-          (decode_pairs mul_tag.(layer) inbox);
-        (* Resolve this layer's mult wires: c = Σ λ_i · subshare_i. *)
-        Hashtbl.iter
-          (fun w b ->
-            if mul_share.(w) = None && List.length !b = n then
-              mul_share.(w) <-
-                Some
-                  (List.fold_left
-                     (fun acc (src, v) -> Field.add acc (Field.mul lam.(src) v))
-                     Field.zero !b))
-          pending
-      end;
+        iter_pairs "bgw:in" ~nwires inbox (fun _ w v ->
+            match gates.(w) with Circuit.Input _ -> set w v | _ -> ());
+      if round >= 2 && round <= n_layers + 1 then
+        iter_pairs mul_tag.(round - 2) ~nwires inbox absorb_subshare;
       if round = total_rounds then begin
-        List.iter
-          (fun (src, w, v) ->
-            let b = bucket out_shares w in
-            if not (List.mem_assoc src !b) then b := (src, v) :: !b)
-          (decode_pairs "bgw:out" inbox);
-        (* Interpolate every output wire. *)
-        let outs =
-          List.map
-            (fun w ->
-              let b = bucket out_shares (Circuit.wire_index w) in
-              let points =
-                List.map (fun (src, v) -> { Shamir.index = src; value = v }) !b
-              in
-              if List.length points >= t + 1 then Shamir.reconstruct points else Field.zero)
-            output_wires
-        in
-        result := decode outs
+        iter_pairs "bgw:out" ~nwires inbox absorb_output;
+        result := decode (List.map reconstruct_output output_wires)
       end;
       (* 2. Send this round's traffic. *)
       if round = 0 then begin
@@ -170,30 +174,31 @@ let protocol ~name ~circuit ~encode ~decode =
           (fun w g ->
             match g with
             | Circuit.Input (p, _) when p = id ->
-                let v = my_inputs.(!input_idx) in
-                incr input_idx;
-                let shares, _ = Shamir.share rng ~threshold:t ~parties:n ~secret:v in
-                Array.iteri
-                  (fun j s -> payload_for.(j) <- (w, s.Shamir.value) :: payload_for.(j))
-                  shares
+                deal payload_for w my_inputs.(!input_idx);
+                incr input_idx
             | _ -> ())
           gates;
-        List.concat
-          (List.init n (fun j ->
-               if payload_for.(j) = [] then []
-               else [ Envelope.make ~src:id ~dst:j (encode_pairs "bgw:in" payload_for.(j)) ]))
+        send "bgw:in" payload_for
       end
-      else if round >= 1 && round <= n_layers then reshare_layer (round - 1) (evaluate ())
+      else if round >= 1 && round <= n_layers then begin
+        (* Reshare this layer's products whose operands are ready. *)
+        let layer = round - 1 in
+        advance ();
+        let payload_for = Array.make n [] in
+        List.iter
+          (fun w ->
+            match gates.(w) with
+            | Circuit.Mul (a, b) when flag known (a :> int) && flag known (b :> int) ->
+                deal payload_for w (Field.mul values.((a :> int)) values.((b :> int)))
+            | _ -> ())
+          layer_muls.(layer);
+        send mul_tag.(layer) payload_for
+      end
       else if round = total_rounds - 1 then begin
         (* Broadcast my output shares. *)
-        let values = evaluate () in
+        advance ();
         let pairs =
-          List.filter_map
-            (fun w ->
-              match values.(Circuit.wire_index w) with
-              | Some v -> Some (Circuit.wire_index w, v)
-              | None -> None)
-            output_wires
+          List.filter_map (fun w -> if flag known w then Some (w, values.(w)) else None) output_wires
         in
         if pairs = [] then [] else [ Envelope.broadcast ~src:id (encode_pairs "bgw:out" pairs) ]
       end

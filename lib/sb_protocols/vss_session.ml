@@ -25,7 +25,9 @@ type t = {
   mutable my_share_ok : bool option;
   mutable complainers : int list;
   mutable disqualified : bool;
-  mutable reveals : (int, Pedersen.share) Hashtbl.t;
+  (* Verified reveals indexed by source party; the first valid reveal
+     from a source wins. *)
+  reveals : Pedersen.share option array;
 }
 
 let tagname dealer suffix = Printf.sprintf "vss:%d:%s" dealer suffix
@@ -73,7 +75,7 @@ let create ctx ~rng ~dealer ~me ~secret =
     my_share_ok = None;
     complainers = [];
     disqualified = false;
-    reveals = Hashtbl.create 8;
+    reveals = Array.make ctx.Ctx.n None;
   }
 
 let decode_commitment ctx m =
@@ -219,16 +221,20 @@ let collect_reveals t inbox =
   | None -> ()
   | Some c ->
       List.iter
-        (fun (src, m) ->
-          if not (Hashtbl.mem t.reveals src) then
-            match decode_share_pair src m with
-            | Some s when Pedersen.verify_share c s -> Hashtbl.replace t.reveals src s
-            | Some _ | None -> ())
-        (Wire.tagged_from_parties ~tag:t.tag_reveal inbox)
+        (fun (e : Envelope.t) ->
+          match (e.Envelope.src, e.Envelope.body) with
+          | Envelope.Party src, Msg.Tag (tag, m)
+            when src >= 0 && src < Array.length t.reveals
+                 && Option.is_none t.reveals.(src) && String.equal tag t.tag_reveal -> (
+              match decode_share_pair src m with
+              | Some s when Pedersen.verify_share c s -> t.reveals.(src) <- Some s
+              | Some _ | None -> ())
+          | _ -> ())
+        inbox
 
+(* In source order, which is share-index order. *)
 let good_shares t =
-  Hashtbl.fold (fun _ s acc -> s :: acc) t.reveals []
-  |> List.sort (fun a b -> Int.compare a.Pedersen.index b.Pedersen.index)
+  Array.fold_right (fun r acc -> match r with Some s -> s :: acc | None -> acc) t.reveals []
 
 let reconstruct_with t f =
   if t.disqualified then None

@@ -18,8 +18,11 @@ let tagged_from_parties ~tag inbox =
 
 let first_from ~tag ~src inbox =
   List.find_map
-    (fun (s, m) -> if s = src then Some m else None)
-    (tagged_from_parties ~tag inbox)
+    (fun (e : Envelope.t) ->
+      match (e.Envelope.src, e.Envelope.body) with
+      | Envelope.Party s, Msg.Tag (t, m) when s = src && String.equal t tag -> Some m
+      | _ -> None)
+    inbox
 
 let bit_of_field f = Sb_crypto.Field.equal f Sb_crypto.Field.one
 let field_of_bit b = if b then Sb_crypto.Field.one else Sb_crypto.Field.zero

@@ -1,55 +1,74 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** state words live in one 32-byte buffer (s0 at
+   offset 0, s1 at 8, s2 at 16, s3 at 24), read and written with the
+   unboxed 64-bit bytes primitives. Without flambda a record of mutable
+   [int64] fields boxes every store, so each draw used to allocate;
+   here the whole update runs in registers and only the buffer is
+   written back. *)
+type t = Bytes.t
 
-(* splitmix64: used only to expand seeds into full xoshiro states. *)
-let splitmix_next state =
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* splitmix64, used only to expand seeds into full xoshiro states: its
+   k-th output from [seed] is [mix (seed + k * gamma)]. *)
+let gamma = 0x9E3779B97F4A7C15L
+
+let[@inline] mix z =
   let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
 let of_seed64 seed =
-  let st = ref seed in
-  let s0 = splitmix_next st in
-  let s1 = splitmix_next st in
-  let s2 = splitmix_next st in
-  let s3 = splitmix_next st in
+  let open Int64 in
+  let s0 = mix (add seed gamma) in
+  let s1 = mix (add seed (mul 2L gamma)) in
+  let s2 = mix (add seed (mul 3L gamma)) in
+  let s3 = mix (add seed (mul 4L gamma)) in
+  let t = Bytes.create 32 in
   (* xoshiro must not start from the all-zero state. *)
-  if Int64.(logor (logor s0 s1) (logor s2 s3)) = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+  if logor (logor s0 s1) (logor s2 s3) = 0L then begin
+    set64 t 0 1L;
+    set64 t 8 2L;
+    set64 t 16 3L;
+    set64 t 24 4L
+  end
+  else begin
+    set64 t 0 s0;
+    set64 t 8 s1;
+    set64 t 16 s2;
+    set64 t 24 s3
+  end;
+  t
 
 let create seed = of_seed64 (Int64.of_int seed)
 
-let rotl x k = Int64.(logor (shift_left x k) (shift_right_logical x (64 - k)))
+let[@inline] rotl x k = Int64.(logor (shift_left x k) (shift_right_logical x (64 - k)))
 
-let int64 t =
+let[@inline] next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  set64 t 0 (logxor s0 s3);
+  set64 t 8 (logxor s1 s2);
+  set64 t 16 (logxor s2 (shift_left s1 17));
+  set64 t 24 (rotl s3 45);
   result
 
-let split t =
-  let child_seed = int64 t in
-  of_seed64 child_seed
+let int64 t = next t
+let split t = of_seed64 (next t)
 
 let split_n t n =
   if n < 0 then invalid_arg "Rng.split_n";
   Array.init n (fun _ -> split t)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
 let bits t w =
   assert (w >= 0 && w <= 62);
-  if w = 0 then 0
-  else Int64.to_int (Int64.shift_right_logical (int64 t) (64 - w))
+  if w = 0 then 0 else Int64.to_int (Int64.shift_right_logical (next t) (64 - w))
 
 let int t bound =
   assert (bound > 0);
@@ -66,7 +85,7 @@ let int t bound =
   end
 
 let bool t = bits t 1 = 1
-let float t = Int64.to_float (Int64.shift_right_logical (int64 t) 11) *. 0x1p-53
+let float t = Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1p-53
 let bernoulli t p = float t < p
 
 let bytes t len =

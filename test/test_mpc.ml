@@ -244,6 +244,108 @@ let test_pi_g_real_astar_forces_parity () =
     | [] -> Alcotest.fail "no outputs"
   done
 
+(* Digest of every run's honest outputs, adversary output, round and
+   message counts and [comm] block, over seeds 1..[seeds]. *)
+let digest_runs ~protocol ~adversary ?faults ~seeds () =
+  let n = 5 in
+  let buf = Buffer.create 4096 in
+  for s = 1 to seeds do
+    let ctx = Ctx.make ~rng:(Sb_util.Rng.create (1000 + s)) ~n ~thresh:2 ~k:8 () in
+    let rng = Sb_util.Rng.create s in
+    let inputs = Array.init n (fun _ -> Msg.Bit (Sb_util.Rng.bool rng)) in
+    let r =
+      Network.run ctx ~rng ~protocol ~adversary ~inputs ~record_trace:false ~record_comm:true
+        ?faults ()
+    in
+    List.iter
+      (fun (i, m) -> Buffer.add_string buf (Printf.sprintf "%d=%s;" i (Msg.to_string m)))
+      r.Network.outputs;
+    Buffer.add_string buf (Msg.to_string r.Network.adv_output);
+    let comm =
+      match r.Network.comm with
+      | None -> "-"
+      | Some c ->
+          Printf.sprintf "%d/%d/%d/%d" c.Network.broadcasts c.Network.broadcast_bytes
+            c.Network.p2p_bytes c.Network.deliveries
+    in
+    Buffer.add_string buf
+      (Printf.sprintf "|%d|%d|%s\n" r.Network.rounds_used r.Network.p2p_messages comm)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let faults s =
+  match Sb_fault.Plan.of_string s with
+  | Ok plan -> Sb_fault.Inject.compile ~n:5 plan
+  | Error e -> Alcotest.fail e
+
+let test_pi_g_real_golden () =
+  (* Pinned digests of 300 seeded Π_G-over-BGW runs per configuration:
+     outputs, traffic and RNG streams must stay bit-identical across
+     changes to the evaluator. *)
+  let p = Sb_protocols.Theta_real.protocol ~n:5 in
+  let passive = Adversary.passive p in
+  let check name expected ?faults adversary =
+    Alcotest.(check string) name expected (digest_runs ~protocol:p ~adversary ?faults ~seeds:300 ())
+  in
+  check "passive" "7fb0c8e3287dac5b505e431ea362f2a8" passive;
+  check "a_star_real" "496563e44b81ad46ed499bbb40b51fad"
+    (Sb_protocols.Theta_real.a_star_real ~n:5 ~corrupt:(3, 4));
+  check "crash:1@3" "7c74712b32a38e2f153dc01d17fac62e" ~faults:(faults "crash:1@3") passive;
+  check "drop:0.2" "16b4ea09482cdaa21f86be383243bd79" ~faults:(faults "drop:0.2") passive
+
+let test_bgw_drops_out_of_range_wires () =
+  (* A corrupted party that otherwise runs BGW honestly also sends
+     pairs naming wires outside [0, nwires) in the input, mult and
+     output rounds. Honest parties drop them: the run completes and
+     still announces the inputs. *)
+  let n = 5 in
+  let p = Sb_protocols.Theta_real.protocol ~n in
+  let last = Bgw.rounds (Sb_protocols.Theta_real.circuit ~n) - 1 in
+  let junk tag =
+    Msg.Tag
+      ( tag,
+        Msg.List
+          [
+            Msg.List [ Msg.Int 10000; Msg.Fe Field.one ];
+            Msg.List [ Msg.Int (-1); Msg.Fe Field.one ];
+            Msg.List [ Msg.Int max_int; Msg.Fe Field.one ];
+          ] )
+  in
+  let base = Adversary.semi_honest p ~corrupt:[ 4 ] in
+  let adversary =
+    {
+      base with
+      Adversary.init =
+        (fun ctx ~rng ~corrupted ~inputs ~aux ->
+          let s = base.Adversary.init ctx ~rng ~corrupted ~inputs ~aux in
+          {
+            s with
+            Adversary.act =
+              (fun view ->
+                let extra =
+                  if view.Adversary.round = 0 then
+                    List.init n (fun j -> Envelope.make ~src:4 ~dst:j (junk "bgw:in"))
+                  else if view.Adversary.round = 1 then
+                    [ Envelope.make ~src:4 ~dst:0 (junk "bgw:mul:0") ]
+                  else if view.Adversary.round = last then
+                    [ Envelope.broadcast ~src:4 (junk "bgw:out") ]
+                  else []
+                in
+                s.Adversary.act view @ extra);
+          });
+    }
+  in
+  let ctx = make_ctx ~n ~thresh:2 () in
+  let x = Sb_util.Bitvec.of_int n 22 in
+  let inputs = Array.init n (fun i -> Msg.Bit (Sb_util.Bitvec.get x i)) in
+  let r = Network.run ctx ~rng:(fresh_rng ()) ~protocol:p ~adversary ~inputs () in
+  Alcotest.(check int) "honest outputs" 4 (List.length r.Network.outputs);
+  List.iter
+    (fun (_, m) ->
+      Alcotest.(check string) "announced = inputs" (Sb_util.Bitvec.to_string x)
+        (Sb_util.Bitvec.to_string (Msg.to_bitvec_exn m)))
+    r.Network.outputs
+
 let () =
   Alcotest.run "sb_mpc"
     [
@@ -261,6 +363,8 @@ let () =
           Alcotest.test_case "thresholds" `Quick test_bgw_thresholds;
           Alcotest.test_case "round count" `Quick test_bgw_round_count;
           QCheck_alcotest.to_alcotest qcheck_bgw_random_circuits;
+          Alcotest.test_case "out-of-range wires dropped" `Quick
+            test_bgw_drops_out_of_range_wires;
         ] );
       ( "theta-real",
         [
@@ -268,5 +372,6 @@ let () =
           Alcotest.test_case "honest parallel broadcast" `Quick test_pi_g_real_honest;
           Alcotest.test_case "A* forces parity over BGW" `Quick
             test_pi_g_real_astar_forces_parity;
+          Alcotest.test_case "golden digests" `Quick test_pi_g_real_golden;
         ] );
     ]

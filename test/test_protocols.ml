@@ -342,6 +342,110 @@ let test_chor_rabin_bad_knowledge_tag () =
     (fun i -> Alcotest.(check bool) "others intact" true (Sb_util.Bitvec.get w i))
     [ 0; 1; 2; 3 ]
 
+(* --- VSS reveals and golden digests ------------------------------------ *)
+
+let test_vss_reveal_collection () =
+  (* One dealer's sharing among five honest sessions, then reveals fed
+     by hand to party 1's session. t = 2, so three distinct verifying
+     shares are needed. *)
+  let n = 5 in
+  let ctx = make_ctx ~n ~thresh:2 () in
+  let dealt = Sb_crypto.Field.of_int 123457 in
+  let sessions =
+    Array.init n (fun me ->
+        Sb_protocols.Vss_session.create ctx ~rng:(fresh_rng ()) ~dealer:0 ~me
+          ~secret:(if me = 0 then Some dealt else None))
+  in
+  let sent = ref [] in
+  for round = 0 to Sb_protocols.Vss_session.local_rounds do
+    let inbox me = List.filter (fun e -> Envelope.delivered_to e me) !sent in
+    sent :=
+      List.concat
+        (Array.to_list
+           (Array.mapi (fun me s -> Sb_protocols.Vss_session.step s ~round ~inbox:(inbox me)) sessions))
+  done;
+  let observer = sessions.(1) in
+  Alcotest.(check bool) "dealer not disqualified" false
+    (Sb_protocols.Vss_session.disqualified observer);
+  let reveal src =
+    match Sb_protocols.Vss_session.reveal_msgs sessions.(src) with
+    | [ e ] -> e
+    | _ -> Alcotest.fail "expected one reveal"
+  in
+  let tampered src =
+    let e = reveal src in
+    match e.Envelope.body with
+    | Msg.Tag (tag, Msg.List [ Msg.Fe v; blind ]) ->
+        { e with Envelope.body = Msg.Tag (tag, Msg.List [ Msg.Fe (Sb_crypto.Field.add v Sb_crypto.Field.one); blind ]) }
+    | _ -> Alcotest.fail "unexpected reveal shape"
+  in
+  let secret () = Sb_protocols.Vss_session.secret observer in
+  let fe = Alcotest.testable Sb_crypto.Field.pp Sb_crypto.Field.equal in
+  (* An invalid reveal from 2 first; a duplicated valid reveal from 1
+     counts once (a second copy would be a duplicate abscissa). *)
+  Sb_protocols.Vss_session.collect_reveals observer [ tampered 2; reveal 3; reveal 1; reveal 1 ];
+  Alcotest.(check (option fe)) "two verifying shares are not enough" None (secret ());
+  (* A later valid reveal from 2 is still accepted; 3's first valid
+     reveal stands against a later invalid one. *)
+  Sb_protocols.Vss_session.collect_reveals observer [ tampered 3; reveal 2 ];
+  Alcotest.(check (option fe)) "secret = dealt value" (Some dealt) (secret ())
+
+(* Digest of every run's honest outputs, adversary output, round and
+   message counts and [comm] block, over seeds 1..100. *)
+let digest_runs ~protocol ~adversary ?faults () =
+  let n = 5 in
+  let buf = Buffer.create 4096 in
+  for s = 1 to 100 do
+    let ctx = Ctx.make ~rng:(Sb_util.Rng.create (1000 + s)) ~n ~thresh:2 ~k:8 () in
+    let rng = Sb_util.Rng.create s in
+    let inputs = Array.init n (fun _ -> Msg.Bit (Sb_util.Rng.bool rng)) in
+    let r =
+      Network.run ctx ~rng ~protocol ~adversary ~inputs ~record_trace:false ~record_comm:true
+        ?faults ()
+    in
+    List.iter
+      (fun (i, m) -> Buffer.add_string buf (Printf.sprintf "%d=%s;" i (Msg.to_string m)))
+      r.Network.outputs;
+    Buffer.add_string buf (Msg.to_string r.Network.adv_output);
+    let comm =
+      match r.Network.comm with
+      | None -> "-"
+      | Some c ->
+          Printf.sprintf "%d/%d/%d/%d" c.Network.broadcasts c.Network.broadcast_bytes
+            c.Network.p2p_bytes c.Network.deliveries
+    in
+    Buffer.add_string buf
+      (Printf.sprintf "|%d|%d|%s\n" r.Network.rounds_used r.Network.p2p_messages comm)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_vss_golden () =
+  (* Pinned digests of 100 seeded runs per VSS protocol and
+     configuration: outputs, traffic and RNG streams must stay
+     bit-identical across changes to the session code. *)
+  let drop =
+    match Sb_fault.Plan.of_string "drop:0.2" with
+    | Ok plan -> Sb_fault.Inject.compile ~n:5 plan
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (name, (p : Protocol.t), passive, semi_honest, dropped) ->
+      let check label expected ?faults adversary =
+        Alcotest.(check string) (name ^ " " ^ label) expected
+          (digest_runs ~protocol:p ~adversary ?faults ())
+      in
+      check "passive" passive (Adversary.passive p);
+      check "semi-honest {3,4}" semi_honest (Adversary.semi_honest p ~corrupt:[ 3; 4 ]);
+      check "drop:0.2" dropped ~faults:drop (Adversary.passive p))
+    [
+      ( "cgma-vss", Sb_protocols.Cgma.protocol, "b1601668b477a850d200f9a64b404806",
+        "b29ec28b250e086a0799010bc7c19c2c", "171b57c14fa92c6ad4f0ad4c791b78e2" );
+      ( "gennaro-constant", Sb_protocols.Gennaro.protocol, "ad5b1c6f73e86cea159af2b31896719f",
+        "32ede1025c6374ce72d327c049647e6e", "4b44ac7b6c253351dae8d902f8371b44" );
+      ( "chor-rabin-log", Sb_protocols.Chor_rabin.protocol, "aed8fcd023ca64868b540d2317204e75",
+        "ce07d86b03cab8421fae0a68d6ef9cea", "b263dea808da38faaa96983e254b8d69" );
+    ]
+
 (* --- Multi wrapper ---------------------------------------------------- *)
 
 let test_multi_roundtrip () =
@@ -550,6 +654,8 @@ let () =
               test_reveal_withhold_effective_on_commit_open;
             Alcotest.test_case "chor-rabin bad knowledge tag" `Quick
               test_chor_rabin_bad_knowledge_tag;
+            Alcotest.test_case "reveal collection" `Quick test_vss_reveal_collection;
+            Alcotest.test_case "golden digests" `Quick test_vss_golden;
           ] );
         ( "multi",
           [

@@ -105,6 +105,59 @@ let test_rng_bytes_length () =
   let rng = Rng.create 17 in
   Alcotest.(check int) "length" 33 (String.length (Rng.bytes rng 33))
 
+(* Known answers: literal outputs of the xoshiro256** / splitmix64
+   streams. Any change to the generator's representation must keep
+   every stream identical, so these values must never change. *)
+let test_rng_known_answers () =
+  let first4 seed =
+    let r = Rng.create seed in
+    List.init 4 (fun _ -> Rng.int64 r)
+  in
+  List.iter
+    (fun (seed, expected) ->
+      Alcotest.(check (list int64)) (Printf.sprintf "create %d" seed) expected (first4 seed))
+    [
+      (0, [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L; 7684712102626143532L ]);
+      (1, [ -5480124913605472059L; -8846382939111011094L; -7856363154187860716L; 7218738570589545383L ]);
+      (42, [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L; -1389169964527427423L ]);
+      (-1, [ -8118546653352383224L; -4290065566684577747L; -9088772293754075490L; -4655159067405239249L ]);
+      ( -123456789,
+        [ 1175208615166907923L; -8806496693273225570L; -6821765396641620760L; 6962383982718830048L ] );
+      ( max_int,
+        [ 7651040205805895144L; 8109190802567772668L; -9096090508748817784L; 3925524024463235365L ] );
+      ( min_int,
+        [ 4791067176913490222L; -3842682502606839103L; 1980188751462655118L; 6170776108790959986L ] );
+    ];
+  (* One stream through bits, int, bytes and float, in this order. *)
+  let r = Rng.create 7 in
+  Alcotest.(check (list int)) "bits"
+    [ 0; 1; 8; 214; 2106891321; 4569536494109524166 ]
+    (List.map (Rng.bits r) [ 0; 1; 5; 8; 31; 62 ]);
+  Alcotest.(check (list int)) "int"
+    [ 0; 1; 0; 13; 423316; 166923575297 ]
+    (List.map (Rng.int r) [ 1; 2; 7; 100; 1000003; 1 lsl 40 ]);
+  Alcotest.(check string) "bytes" "\138\187\240\225s\143Aw(\"+\166" (Rng.bytes r 12);
+  Alcotest.(check (list (float 0.))) "float"
+    [ 0x1.55bc6d3a9e9bdp-1; 0x1.1fd284e99c362p-2; 0x1.7fccd2afc7ef8p-1 ]
+    (List.init 3 (fun _ -> Rng.float r));
+  let p = Rng.create 99 in
+  let child = Rng.split p in
+  Alcotest.(check int64) "split child" 5675267400435909819L (Rng.int64 child);
+  Alcotest.(check int64) "split parent" (-8042779959794039170L) (Rng.int64 p);
+  let p = Rng.create 99 in
+  let children = Rng.split_n p 3 in
+  Alcotest.(check (list int64)) "split_n children"
+    [ 5675267400435909819L; 5864888433297558986L; -2565255362051959203L ]
+    (Array.to_list (Array.map Rng.int64 children));
+  Alcotest.(check int64) "split_n parent" (-2663192923417250340L) (Rng.int64 p);
+  let a = Rng.create 5 in
+  ignore (Rng.int64 a);
+  let b = Rng.copy a in
+  ignore (Rng.int64 a);
+  Alcotest.(check (list int64)) "copy"
+    [ -7340285363121412900L; -6464721771320067154L ]
+    (List.init 2 (fun _ -> Rng.int64 b))
+
 let test_bitvec_roundtrip () =
   for v = 0 to 31 do
     let bv = Bitvec.of_int 5 v in
@@ -261,6 +314,7 @@ let () =
           Alcotest.test_case "bool balanced" `Quick test_rng_bool_balanced;
           Alcotest.test_case "perm is permutation" `Quick test_rng_perm_is_permutation;
           Alcotest.test_case "bytes length" `Quick test_rng_bytes_length;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
         ] );
       ( "bitvec",
         [
