@@ -57,11 +57,9 @@ let run_experiments setup ids =
   let outcomes =
     List.map
       (fun (e : Core.Experiments.entry) ->
-        let t0 = Unix.gettimeofday () in
-        let o = e.Core.Experiments.run setup in
-        let wall = Unix.gettimeofday () -. t0 in
+        let o, cost = Sb_obs.Metrics.measure (fun () -> e.Core.Experiments.run setup) in
         print_outcome o;
-        (o, wall))
+        (o, cost))
       entries
   in
   let bad =
@@ -130,7 +128,15 @@ let run_timing () =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let raw_results = Benchmark.all cfg instances timing_tests in
+  (* Bechamel picks its iteration counts from the host's speed; keep
+     those runs out of the counters so that every bench run of the
+     same experiments reports the same sim.* and exp.* totals. *)
+  Sb_obs.Metrics.set_enabled false;
+  let raw_results =
+    Fun.protect
+      ~finally:(fun () -> Sb_obs.Metrics.set_enabled true)
+      (fun () -> Benchmark.all cfg instances timing_tests)
+  in
   let results = List.map (fun instance -> Analyze.all ols instance raw_results) instances in
   let results = Analyze.merge ols instances results in
   let table =
@@ -214,7 +220,6 @@ let () =
   Sb_workload.E18.register ();
   (* The bench run is the perf-trajectory artifact: observability on. *)
   Sb_obs.Metrics.set_enabled true;
-  Sb_obs.Span.set_enabled true;
   let args = List.tl (Array.to_list Sys.argv) in
   let jobs_prefix = "--jobs=" in
   let jobs_of a =
@@ -300,13 +305,13 @@ let () =
   in
   let experiments =
     List.map
-      (fun ((o : Core.Experiments.outcome), wall) ->
+      (fun ((o : Core.Experiments.outcome), cost) ->
         {
           Sb_obs.Report.id = o.Core.Experiments.id;
           title = o.Core.Experiments.title;
           ok = o.Core.Experiments.ok;
           rows_checked = o.Core.Experiments.rows_checked;
-          wall_clock_s = wall;
+          cost;
           notes = o.Core.Experiments.notes;
         })
       outcomes

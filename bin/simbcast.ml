@@ -193,10 +193,7 @@ let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~doc ~docv:"FILE")
 
 let setup_obs ?trace metrics report =
-  if metrics || report <> None then begin
-    Sb_obs.Metrics.set_enabled true;
-    Sb_obs.Span.set_enabled true
-  end;
+  if metrics || report <> None then Sb_obs.Metrics.set_enabled true;
   match trace with
   | Some _ -> Sb_obs.Trace_ctx.set_enabled true
   | None -> ()
@@ -323,10 +320,7 @@ let run_cmd =
             let faults =
               if plan = [] then None else Some (Sb_fault.Inject.compile ~n plan)
             in
-            let r =
-              Sb_obs.Span.with_span ~attrs:[ ("protocol", pname) ] "run" (fun () ->
-                  Core.Announced.run_once setup ~protocol ~adversary ~x ?faults rng)
-            in
+            let r = Core.Announced.run_once setup ~protocol ~adversary ~x ?faults rng in
             Printf.printf "protocol   : %s\n" protocol.Sb_sim.Protocol.name;
             Printf.printf "adversary  : %s (corrupted %s)\n" adversary.Sb_sim.Adversary.name
               (String.concat "," (List.map string_of_int r.Core.Announced.corrupted));
@@ -574,9 +568,7 @@ let experiment_cmd =
         fail "unknown experiment %S (try: %s)" id
           (String.concat ", " (Core.Experiments.ids ()))
     | Some e ->
-        let t0 = Unix.gettimeofday () in
-        let o = e.Core.Experiments.run setup in
-        let wall = Unix.gettimeofday () -. t0 in
+        let o, cost = Sb_obs.Metrics.measure (fun () -> e.Core.Experiments.run setup) in
         Sb_util.Tabular.print o.Core.Experiments.table;
         (match csv with
         | None -> ()
@@ -599,7 +591,7 @@ let experiment_cmd =
               title = o.Core.Experiments.title;
               ok = o.Core.Experiments.ok;
               rows_checked = o.Core.Experiments.rows_checked;
-              wall_clock_s = wall;
+              cost;
               notes = o.Core.Experiments.notes;
             };
           ]
@@ -674,29 +666,28 @@ let fault_sweep_cmd =
                    samples)
               ~columns:[ "protocol"; "faults"; "agreement"; "validity" ]
           in
-          let t0 = Unix.gettimeofday () in
-          let cells =
-            List.concat_map
-              (fun (name, protocol) ->
-                List.map
-                  (fun plan ->
-                    let c =
-                      Core.Resilience.measure setup ~protocol
-                        ~adversary:Core.Adversaries.passive
-                        ~dist:(Sb_dist.Dist.uniform n) ~plan (Sb_util.Rng.create seed)
-                    in
-                    Sb_util.Tabular.add_row table
-                      [
-                        name;
-                        (match Sb_fault.Plan.to_string plan with "" -> "none" | s -> s);
-                        Format.asprintf "%a" Sb_stats.Estimate.pp c.Core.Resilience.agree;
-                        Format.asprintf "%a" Sb_stats.Estimate.pp c.Core.Resilience.valid;
-                      ];
-                    c)
-                  plans)
-              protocols
+          let cells, cost =
+            Sb_obs.Metrics.measure (fun () ->
+                List.concat_map
+                  (fun (name, protocol) ->
+                    List.map
+                      (fun plan ->
+                        let c =
+                          Core.Resilience.measure setup ~protocol
+                            ~adversary:Core.Adversaries.passive
+                            ~dist:(Sb_dist.Dist.uniform n) ~plan (Sb_util.Rng.create seed)
+                        in
+                        Sb_util.Tabular.add_row table
+                          [
+                            name;
+                            (match Sb_fault.Plan.to_string plan with "" -> "none" | s -> s);
+                            Format.asprintf "%a" Sb_stats.Estimate.pp c.Core.Resilience.agree;
+                            Format.asprintf "%a" Sb_stats.Estimate.pp c.Core.Resilience.valid;
+                          ];
+                        c)
+                      plans)
+                  protocols)
           in
-          let wall = Unix.gettimeofday () -. t0 in
           Sb_util.Tabular.print table;
           let experiments =
             [
@@ -705,7 +696,7 @@ let fault_sweep_cmd =
                 title = "Resilience sweep over injected fault plans";
                 ok = true;
                 rows_checked = List.length cells;
-                wall_clock_s = wall;
+                cost;
                 notes = [];
               };
             ]
@@ -751,12 +742,10 @@ let profile_cmd =
         let setup =
           if quick then Core.Setup.with_samples 2000 Core.Setup.default else Core.Setup.default
         in
-        let t0 = Unix.gettimeofday () in
-        let o = e.Core.Experiments.run setup in
-        let wall = Unix.gettimeofday () -. t0 in
+        let o, cost = Sb_obs.Metrics.measure (fun () -> e.Core.Experiments.run setup) in
         Printf.printf "%s: %s — %s in %.2fs\n" o.Core.Experiments.id o.Core.Experiments.title
           (if o.Core.Experiments.ok then "OK" else "MISMATCH")
-          wall;
+          cost.Sb_obs.Metrics.wall_s;
         Sb_util.Tabular.print (Sb_obs.Perfetto.flame_table ~top ());
         (match trace with
         | None -> ()
@@ -1166,7 +1155,10 @@ let perf_diff_cmd =
     | exception Sys_error msg -> Error msg
   in
   let run base_path fresh_path threshold prefixes =
-    if threshold < 0.0 then fail "--threshold must be non-negative"
+    (* [nan] fails every comparison and [inf] admits every ratio: either
+       would silently turn the guard off. *)
+    if not (Float.is_finite threshold && threshold >= 0.0) then
+      fail "--threshold must be a finite non-negative number"
     else
       match (read_report base_path, read_report fresh_path) with
       | Error e, _ | _, Error e -> fail "%s" e

@@ -986,9 +986,9 @@ let e16_wire_complexity ?(ns = [ 4; 8; 16; 32; 64 ]) ?(thresh = 1) () =
               let rng = Rng.create (1600 + n) in
               let ctx = Sb_sim.Ctx.make ~rng ~n ~thresh ~k:8 () in
               let inputs = Array.init n (fun i -> Sb_sim.Msg.Bit (i mod 2 = 0)) in
-              let t0 = Unix.gettimeofday () in
+              let t0 = Sb_obs.Metrics.now_s () in
               let r = Sb_sim.Network.honest_run ctx ~rng ~protocol ~inputs in
-              let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+              let ms = (Sb_obs.Metrics.now_s () -. t0) *. 1000.0 in
               let bcast_bytes, p2p_bytes = Sb_sim.Trace.wire_bytes r.Sb_sim.Network.trace in
               let bytes = bcast_bytes + p2p_bytes in
               Tabular.add_row table
@@ -1098,12 +1098,12 @@ let e17_scaling ?n_max (setup : Setup.t) =
               let pool = Sb_sim.Envelope.Arena.create () in
               let ctx = Sb_sim.Ctx.make ~rng ~n ~thresh ~k:8 ~pool () in
               let inputs = Array.init n (fun i -> Sb_sim.Msg.Bit (i mod 2 = 0)) in
-              let t0 = Unix.gettimeofday () in
+              let t0 = Sb_obs.Metrics.now_s () in
               let r =
                 Sb_sim.Network.honest_run ~record_trace:false ~record_comm:true
                   ~reuse_envelopes:true ctx ~rng ~protocol ~inputs
               in
-              let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+              let ms = (Sb_obs.Metrics.now_s () -. t0) *. 1000.0 in
               let c = Option.get r.Sb_sim.Network.comm in
               let bytes = c.Sb_sim.Network.broadcast_bytes + c.Sb_sim.Network.p2p_bytes in
               Tabular.add_row table
@@ -1197,27 +1197,18 @@ let m_rows = Sb_obs.Metrics.counter "exp.rows_checked"
 let m_ok = Sb_obs.Metrics.counter "exp.ok"
 let m_mismatch = Sb_obs.Metrics.counter "exp.mismatch"
 
-(* Wrap every runner in a span and roll its outcome into the metrics
-   registry; run reports read the span back for per-experiment
-   wall-clock. Instrumentation draws no randomness, so verdicts are
-   unchanged with observability on or off. *)
-let instrumented id f setup =
-  Sb_obs.Span.with_span ~attrs:[ ("experiment", id) ] ("experiment:" ^ id) (fun () ->
-      let o = f setup in
-      Sb_obs.Metrics.incr ~by:o.rows_checked m_rows;
-      Sb_obs.Metrics.incr (if o.ok then m_ok else m_mismatch);
-      Sb_obs.Event.emit "experiment"
-        ~fields:
-          [
-            ("id", Sb_obs.Json.Str o.id);
-            ("ok", Sb_obs.Json.Bool o.ok);
-            ("rows_checked", Sb_obs.Json.Int o.rows_checked);
-          ];
-      o)
+(* Roll every runner's outcome into the metrics registry.
+   Instrumentation draws no randomness, so verdicts are unchanged with
+   observability on or off. *)
+let instrumented f setup =
+  let o = f setup in
+  Sb_obs.Metrics.incr ~by:o.rows_checked m_rows;
+  Sb_obs.Metrics.incr (if o.ok then m_ok else m_mismatch);
+  o
 
 type entry = { id : string; title : string; run : Setup.t -> outcome }
 
-let entry id title f = { id; title; run = instrumented id f }
+let entry id title f = { id; title; run = instrumented f }
 
 let registry =
   [

@@ -80,10 +80,9 @@ type entry = {
   title : string;
   run : Setup.t -> outcome;
 }
-(** One catalogue entry. [run] wraps the raw driver in an
-    observability span ["experiment:<id>"] and rolls rows-checked /
-    verdict counters into {!Sb_obs.Metrics}; with the layer disabled it
-    is the bare driver. Both front ends (bench/main.exe and
+(** One catalogue entry. [run] wraps the raw driver and rolls
+    rows-checked / verdict counters into {!Sb_obs.Metrics}; with the
+    layer disabled it is the bare driver. Both front ends (bench/main.exe and
     [simbcast experiment]) dispatch through this registry, so the id
     lists cannot drift. *)
 

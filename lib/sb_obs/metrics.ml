@@ -25,6 +25,26 @@ let on = ref false
 let set_enabled b = on := b
 let enabled () = !on
 
+(* The one clock behind every timer in the libraries. CLOCK_MONOTONIC
+   never steps, so a wall-clock adjustment cannot make a duration
+   negative. Inlined so the float stays unboxed at the call site: a
+   call would box it, two words per read on the session engine's
+   per-session timers. *)
+let[@inline] now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+type cost = { wall_s : float; minor_words : float; major_words : float }
+
+let measure f =
+  (* Gc.counters, not quick_stat: the latter refreshes its allocation
+     totals only at collection boundaries, so a short call would read
+     as allocation-free. *)
+  let min0, _, maj0 = Gc.counters () in
+  let t0 = now_s () in
+  let r = f () in
+  let t1 = now_s () in
+  let min1, _, maj1 = Gc.counters () in
+  (r, { wall_s = t1 -. t0; minor_words = min1 -. min0; major_words = maj1 -. maj0 })
+
 let locked f =
   Mutex.lock reg_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock reg_lock) f
@@ -70,58 +90,28 @@ let default_buckets =
   [| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1e3; 2e3; 5e3; 1e4; 2e4; 5e4; 1e5; 2e5; 5e5;
      1e6; 2e6; 5e6; 1e7; 2e7; 5e7; 1e8; 2e8; 5e8 |]
 
-(* Histograms interned a second time with different [~buckets] keep the
-   registered bounds (bounds are fixed at creation); warn once per name
-   so the silent divergence is at least visible in the event stream. *)
-let bucket_warned : (string, unit) Hashtbl.t = Hashtbl.create 8
-
-let histogram ?buckets name =
-  let requested = buckets in
-  let buckets = Option.value ~default:default_buckets buckets in
-  let h =
-    intern name
-      (fun () ->
-        let ok = ref (Array.length buckets > 0) in
-        Array.iteri (fun i b -> if i > 0 && b <= buckets.(i - 1) then ok := false) buckets;
-        if not !ok then
-          invalid_arg "Metrics.histogram: bounds must be non-empty, strictly increasing";
-        let h =
-          {
-            h_name = name;
-            h_lock = Mutex.create ();
-            bounds = Array.copy buckets;
-            counts = Array.make (Array.length buckets + 1) 0;
-            h_count = 0;
-            h_sum = 0.0;
-            h_min = Float.nan;
-            h_max = Float.nan;
-          }
-        in
-        Hashtbl.replace registry name (Histogram h);
-        h)
-      (function Histogram h -> Some h | _ -> None)
-  in
-  (match requested with
-  | Some b when b <> h.bounds ->
-      let first =
-        locked (fun () ->
-            if Hashtbl.mem bucket_warned name then false
-            else begin
-              Hashtbl.add bucket_warned name ();
-              true
-            end)
+let histogram ?(buckets = default_buckets) name =
+  intern name
+    (fun () ->
+      let ok = ref (Array.length buckets > 0) in
+      Array.iteri (fun i b -> if i > 0 && b <= buckets.(i - 1) then ok := false) buckets;
+      if not !ok then
+        invalid_arg "Metrics.histogram: bounds must be non-empty, strictly increasing";
+      let h =
+        {
+          h_name = name;
+          h_lock = Mutex.create ();
+          bounds = Array.copy buckets;
+          counts = Array.make (Array.length buckets + 1) 0;
+          h_count = 0;
+          h_sum = 0.0;
+          h_min = Float.nan;
+          h_max = Float.nan;
+        }
       in
-      (* Emit outside reg_lock: sinks run arbitrary user code. *)
-      if first then
-        Event.emit "metrics.bucket_mismatch"
-          ~fields:
-            [
-              ("name", Json.Str name);
-              ("registered_buckets", Json.Int (Array.length h.bounds));
-              ("requested_buckets", Json.Int (Array.length b));
-            ]
-  | _ -> ());
-  h
+      Hashtbl.replace registry name (Histogram h);
+      h)
+    (function Histogram h -> Some h | _ -> None)
 
 let bucket_index bounds x =
   (* First bucket whose upper bound admits x; overflow otherwise. *)
@@ -203,7 +193,6 @@ let stats h =
 
 let reset () =
   locked (fun () ->
-      Hashtbl.reset bucket_warned;
       Hashtbl.iter
         (fun _ m ->
           match m with

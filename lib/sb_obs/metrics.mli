@@ -22,6 +22,25 @@ type histogram
 val set_enabled : bool -> unit
 val enabled : unit -> bool
 
+val now_s : unit -> float
+(** Monotonic clock ([Monotonic_clock.now]) in seconds from an
+    arbitrary origin. Every timer in the libraries reads it, so no
+    measured duration is ever negative. Works whether or not metrics
+    are enabled. *)
+
+type cost = {
+  wall_s : float;  (** {!now_s} delta *)
+  minor_words : float;  (** [Gc.counters] deltas *)
+  major_words : float;
+}
+
+val measure : (unit -> 'a) -> 'a * cost
+(** Run the thunk and return its result with its wall clock and the
+    words it allocated. The words are those of the calling domain
+    (OCaml 5's [Gc.counters]): work the thunk hands to pool worker
+    domains is not counted, so only the wall clock and the words of a
+    [--jobs 1] run are comparable across runs. *)
+
 val counter : string -> counter
 (** Intern (create or look up) a counter by name. *)
 
@@ -36,12 +55,9 @@ val histogram : ?buckets:float array -> string -> histogram
 (** [buckets] are inclusive upper bounds, strictly increasing; an
     implicit +inf overflow bucket is appended. The default is a
     geometric ladder suited to microsecond durations
-    (1, 2, 5, 10, ... 5e8). Bucket bounds are fixed at first creation;
-    a later lookup with different bounds returns the existing
-    histogram unchanged — and, once per name (rearmed by {!reset}),
-    emits a [metrics.bucket_mismatch] event with the registered and
-    requested bucket counts so the divergence is visible to attached
-    sinks rather than silent. *)
+    (1, 2, 5, 10, ... 5e8). Bucket bounds are fixed at first creation:
+    the first registration wins, and a later lookup with different
+    bounds returns the existing histogram unchanged. *)
 
 val observe : histogram -> float -> unit
 

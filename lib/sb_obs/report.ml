@@ -1,11 +1,11 @@
-let schema_version = 7
+let schema_version = 8
 
 type experiment_entry = {
   id : string;
   title : string;
   ok : bool;
   rows_checked : int;
-  wall_clock_s : float;
+  cost : Metrics.cost;
   notes : string list;
 }
 
@@ -18,7 +18,9 @@ let experiment_to_json (e : experiment_entry) =
       ("title", Json.Str e.title);
       ("ok", Json.Bool e.ok);
       ("rows_checked", Json.Int e.rows_checked);
-      ("wall_clock_s", Json.Float e.wall_clock_s);
+      ("wall_clock_s", Json.Float e.cost.Metrics.wall_s);
+      ("minor_words", Json.Float e.cost.Metrics.minor_words);
+      ("major_words", Json.Float e.cost.Metrics.major_words);
       ("notes", Json.List (List.map (fun n -> Json.Str n) e.notes));
     ]
 
@@ -62,7 +64,7 @@ let make ?(tool = "simbcast") ?(tag = "run") ?jobs ?(experiments = []) ?(timings
     @ (match sessions with None -> [] | Some s -> [ ("sessions", s) ])
     @ (match check with None -> [] | Some c -> [ ("check", c) ])
     @ (match workload with None -> [] | Some w -> [ ("workload", w) ])
-    @ [ ("metrics", Metrics.to_json ()); ("spans", Span.to_json ()) ])
+    @ [ ("metrics", Metrics.to_json ()) ])
 
 let write_file path json =
   let oc = open_out path in
@@ -90,9 +92,15 @@ let validate json =
         let* id = require "experiment missing id" (Json.member "id" e) in
         let* id = require "experiment id not a string" (Json.to_str_opt id) in
         let* _ = require (id ^ ": missing ok") (Json.member "ok" e) in
-        let* wc = require (id ^ ": missing wall_clock_s") (Json.member "wall_clock_s" e) in
-        let* _ = require (id ^ ": wall_clock_s not numeric") (Json.to_float_opt wc) in
-        Ok ())
+        (* Schema v8: the measured allocation sits next to the wall clock. *)
+        List.fold_left
+          (fun acc field ->
+            let* () = acc in
+            let* v = require (id ^ ": missing " ^ field) (Json.member field e) in
+            let* _ = require (id ^ ": " ^ field ^ " not numeric") (Json.to_float_opt v) in
+            Ok ())
+          (Ok ())
+          [ "wall_clock_s"; "minor_words"; "major_words" ])
       (Ok ()) exps
   in
   let* comm = require "missing comm" (Json.member "comm" json) in

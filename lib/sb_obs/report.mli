@@ -1,7 +1,7 @@
 (** Versioned machine-readable run reports.
 
     A report bundles per-experiment outcomes with the current metrics
-    snapshot and completed spans into one JSON document. The schema is
+    snapshot into one JSON document. The schema is
     versioned so downstream tooling (perf-trajectory diffing, CI
     smoke checks) can evolve safely; bump {!schema_version} on any
     incompatible change and document it in EXPERIMENTS.md. *)
@@ -13,7 +13,8 @@ type experiment_entry = {
   title : string;
   ok : bool;
   rows_checked : int;
-  wall_clock_s : float;
+  cost : Metrics.cost;
+      (** serialized as [wall_clock_s], [minor_words], [major_words] *)
   notes : string list;
 }
 
@@ -32,7 +33,7 @@ val make :
   unit ->
   Json.t
 (** Assembles the report from the given outcomes plus
-    [Metrics.to_json ()] and [Span.to_json ()] as they stand. [jobs],
+    [Metrics.to_json ()] as it stands. [jobs],
     when given, is recorded under a ["parallel"] object — the domain
     count the run used; per-domain sample shares appear alongside as
     [par.domain<k>.samples] counters in the metrics snapshot.
@@ -70,14 +71,21 @@ val make :
     ("quick"/"full"), integer session totals and the application-level
     scale/summary objects, normally [Sb_workload.Workload.to_json].
     The block carries no wall-clock-derived fields, so CI can diff it
-    byte-for-byte across [--jobs] values. *)
+    byte-for-byte across [--jobs] values.
+
+    Schema v8 drops the top-level ["spans"] array: its per-experiment
+    durations repeated [wall_clock_s]. The allocation it carried moves
+    into each experiment entry as numeric [minor_words] and
+    [major_words] ({!Metrics.measure}); like [wall_clock_s] they are
+    measured, not deterministic. *)
 
 val write_file : string -> Json.t -> unit
 (** Pretty-printed, trailing newline. *)
 
 val validate : Json.t -> (unit, string) result
 (** Structural check: schema_version matches, the experiments array is
-    well-formed (id/ok/wall_clock_s present), the [comm] object carries
+    well-formed (id/ok present; wall_clock_s, minor_words and
+    major_words numeric), the [comm] object carries
     all four integer totals, metrics object present, the optional
     [trace] block (v3) carries its four integer counts when present,
     the optional [sessions] block (v4) carries its integer totals

@@ -66,7 +66,7 @@ let reset () =
   Atomic.set session_count 0;
   Domain.DLS.get stack_key := []
 
-let now_us () = Unix.gettimeofday () *. 1e6
+let now_us () = Metrics.now_s () *. 1e6
 
 let fresh_span ~parent ~track ~agg ~cat ~args name =
   let min0, _, maj0 = Gc.counters () in

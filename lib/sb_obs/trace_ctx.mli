@@ -15,7 +15,9 @@
     later sessions run untraced so profiling a 100k-sample experiment
     cannot exhaust memory.
 
-    Export/aggregation lives in {!Perfetto}. *)
+    This is the library's only span engine; per-experiment wall clock
+    and allocation come from {!Metrics.measure}. Export/aggregation
+    lives in {!Perfetto}. *)
 
 type span = {
   id : int;
@@ -25,7 +27,7 @@ type span = {
   cat : string;  (** ["session"], ["round"], ["party"], ["phase"], ... *)
   track : int;  (** Perfetto thread id: the session ordinal, from 1 *)
   args : (string * string) list;
-  start_us : float;  (** [Unix.gettimeofday], microseconds *)
+  start_us : float;  (** {!now_us} at open *)
   mutable end_us : float;  (** [nan] while the span is open *)
   mutable minor0 : float;  (** Gc words at open (internal) *)
   mutable major0 : float;
@@ -54,7 +56,7 @@ val set_max_sessions : int -> unit
 (** Cap on traced sessions per process (clamped to >= 1; default 64). *)
 
 val now_us : unit -> float
-(** Wall clock in microseconds — for callers timing bucket work. *)
+(** {!Metrics.now_s} in microseconds — for callers timing bucket work. *)
 
 val begin_session : ?args:(string * string) list -> string -> h
 (** Open a session root span on a fresh track and make it this domain's

@@ -217,7 +217,7 @@ let run ?pool ?(sched = Steal) ?(adversary = Core.Adversaries.passive) ~setup ~d
   let shard_wall = Array.make nshards 0.0 in
   let session_wall = Array.make total 0.0 in
   let run_shard (sh : Shard.t) =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Sb_obs.Metrics.now_s () in
     let s = specs_a.(sh.Shard.spec) in
     let n = setups.(sh.Shard.spec).Core.Setup.n in
     let d = dists.(sh.Shard.spec) in
@@ -230,7 +230,7 @@ let run ?pool ?(sched = Steal) ?(adversary = Core.Adversaries.passive) ~setup ~d
     let reports =
       Array.init sh.Shard.len (fun j ->
           let i = sh.Shard.lo + j in
-          let t1 = Unix.gettimeofday () in
+          let t1 = Sb_obs.Metrics.now_s () in
           let x =
             match s.inputs with
             | None -> Sb_dist.Dist.sample d streams.(2 * i)
@@ -250,7 +250,7 @@ let run ?pool ?(sched = Steal) ?(adversary = Core.Adversaries.passive) ~setup ~d
               ~inputs ?faults ~record_trace:false ()
           in
           let w, consistent = consistent_w ~n r.Network.outputs in
-          session_wall.(i) <- Unix.gettimeofday () -. t1;
+          session_wall.(i) <- Sb_obs.Metrics.now_s () -. t1;
           {
             index = i;
             shard = sh.Shard.index;
@@ -267,11 +267,11 @@ let run ?pool ?(sched = Steal) ?(adversary = Core.Adversaries.passive) ~setup ~d
       Sb_obs.Metrics.incr ~by:sh.Shard.len counters.(sh.Shard.index);
       Core.Announced.note_domain_samples sh.Shard.len
     end;
-    shard_wall.(sh.Shard.index) <- Unix.gettimeofday () -. t0;
+    shard_wall.(sh.Shard.index) <- Sb_obs.Metrics.now_s () -. t0;
     reports
   in
   let comm0 = comm_snapshot () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Sb_obs.Metrics.now_s () in
   let worker_stats =
     match sched with
     | Static ->
@@ -298,7 +298,7 @@ let run ?pool ?(sched = Steal) ?(adversary = Core.Adversaries.passive) ~setup ~d
           (Sb_par.Partition.chunks ~total:nshards ~jobs:workers);
         let ids = Array.init workers (fun w -> w) in
         Sb_par.Pool.map_chunks pool ids ~f:(fun w ->
-            let t0 = Unix.gettimeofday () in
+            let t0 = Sb_obs.Metrics.now_s () in
             let claimed = ref 0 and stolen = ref 0 and sess = ref 0 in
             let rec loop () =
               let k = Atomic.fetch_and_add next 1 in
@@ -316,10 +316,10 @@ let run ?pool ?(sched = Steal) ?(adversary = Core.Adversaries.passive) ~setup ~d
               shards_run = !claimed;
               stolen = !stolen;
               sessions_run = !sess;
-              busy_s = Unix.gettimeofday () -. t0;
+              busy_s = Sb_obs.Metrics.now_s () -. t0;
             })
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let wall_s = Sb_obs.Metrics.now_s () -. t0 in
   let bc0, p2p0, bcb0, p2pb0 = comm0 in
   let bc1, p2p1, bcb1, p2pb1 = comm_snapshot () in
   let reports = Array.concat (Array.to_list results) in

@@ -129,14 +129,12 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
   let trace = ref [] in
   Sb_obs.Metrics.incr m_runs;
   let metrics_run = Sb_obs.Metrics.enabled () in
-  (* Every traffic figure of the run — p2p_messages, comm, the sim.*
-     traffic counters and the network.run event — reads this one tally.
+  (* Every traffic figure of the run — p2p_messages, comm and the sim.*
+     traffic counters — reads this one tally.
      Bodies are sized only when a byte figure is reported. *)
   let tally = Trace.tally ~bytes:(record_comm || metrics_run) in
   let deliveries = ref 0 in
-  let events = Sb_obs.Sink.attached () > 0 in
-  let per_round = ref [] in
-  let run_t0 = if metrics_run then Unix.gettimeofday () else 0.0 in
+  let run_t0 = if metrics_run then Sb_obs.Metrics.now_s () else 0.0 in
   (* Causal tracing (Trace_ctx): off by default, one boolean load here.
      When enabled, this run becomes one session span tree — session ->
      round -> {collect/rush/intercept/route} phases -> party — plus a
@@ -169,7 +167,7 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
     if reuse_envelopes then
       (match ctx.pool with Some a -> Envelope.Arena.flip a | None -> ());
     let metrics_on = Sb_obs.Metrics.enabled () in
-    let t0 = if metrics_on then Unix.gettimeofday () else 0.0 in
+    let t0 = if metrics_on then Sb_obs.Metrics.now_s () else 0.0 in
     let inbox_router = !mailboxes in
     let last = round = total_rounds in
     let s_round =
@@ -274,15 +272,11 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
        next-round deliveries. *)
     if not last then begin
       let nh = Trace.add tally honest_out and na = Trace.add tally adv_out in
-      if metrics_on || events then begin
-        let nf = List.length func_out in
-        if metrics_on then begin
-          Sb_obs.Metrics.incr ~by:nh m_honest;
-          Sb_obs.Metrics.incr ~by:na m_adv;
-          Sb_obs.Metrics.incr ~by:nf m_func;
-          Sb_obs.Metrics.incr ~by:(List.length adv_out_raw - na) m_forged
-        end;
-        if events then per_round := (nh, na, nf) :: !per_round
+      if metrics_on then begin
+        Sb_obs.Metrics.incr ~by:nh m_honest;
+        Sb_obs.Metrics.incr ~by:na m_adv;
+        Sb_obs.Metrics.incr ~by:(List.length func_out) m_func;
+        Sb_obs.Metrics.incr ~by:(List.length adv_out_raw - na) m_forged
       end;
       if record_trace then
         trace :=
@@ -291,7 +285,7 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
     end;
     if metrics_on then begin
       Sb_obs.Metrics.incr m_rounds;
-      Sb_obs.Metrics.observe h_round_us ((Unix.gettimeofday () -. t0) *. 1e6)
+      Sb_obs.Metrics.observe h_round_us ((Sb_obs.Metrics.now_s () -. t0) *. 1e6)
     end;
     let next = !staging in
     Router.clear next;
@@ -338,7 +332,7 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
     Sb_obs.Metrics.incr ~by:tally.Trace.p2p m_p2p;
     Sb_obs.Metrics.incr ~by:tally.Trace.broadcast_bytes m_bytes_bcast;
     Sb_obs.Metrics.incr ~by:tally.Trace.p2p_bytes m_bytes_p2p;
-    let wall = Unix.gettimeofday () -. run_t0 in
+    let wall = Sb_obs.Metrics.now_s () -. run_t0 in
     Mutex.lock wall_lock;
     let total = Sb_obs.Metrics.gauge_value g_wall +. wall in
     Sb_obs.Metrics.set g_wall total;
@@ -350,20 +344,6 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
     end;
     Mutex.unlock wall_lock
   end;
-  if events then
-    Sb_obs.Event.emit "network.run"
-      ~fields:
-      [
-        ("protocol", Sb_obs.Json.Str protocol.name);
-        ("rounds", Sb_obs.Json.Int total_rounds);
-        ("corrupted", Sb_obs.Json.Int (List.length corrupted));
-        ("p2p", Sb_obs.Json.Int tally.Trace.p2p);
-        ( "per_round",
-          Sb_obs.Json.List
-            (List.rev_map
-               (fun (h, a, f) -> Sb_obs.Json.List [ Sb_obs.Json.Int h; Sb_obs.Json.Int a; Sb_obs.Json.Int f ])
-               !per_round) );
-      ];
   {
     outputs = List.map (fun (id, party) -> (id, party.Party.output ())) parties;
     adv_output = strategy.Adversary.adv_output ();

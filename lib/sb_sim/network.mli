@@ -5,9 +5,9 @@
     are read in linear time instead of re-filtering a flat list per
     party, while staying byte-identical to the flat-list semantics
     (Router's ordering invariant; pinned by test/test_router.ml).
-    Every traffic figure of a run — [p2p_messages], [comm], the
-    [sim.broadcasts]/[sim.p2p]/[sim.bytes.*] counters and the
-    [network.run] event — comes from one {!Trace.tally} fed each
+    Every traffic figure of a run — [p2p_messages], [comm] and the
+    [sim.broadcasts]/[sim.p2p]/[sim.bytes.*] counters — comes from
+    one {!Trace.tally} fed each
     round's traffic as sent (pre-fault), the same rule the trace-side
     counts of {!Trace} apply.
 

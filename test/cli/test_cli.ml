@@ -87,20 +87,25 @@ let test_run_trace_output () =
 (* --- tracing leaves reports unchanged ------------------------------- *)
 
 (* The deterministic surface of a run report: experiment outcomes
-   (minus wall clock), the comm totals, and the metric counters.
+   (minus the measured wall clock and allocation), the comm totals, and
+   the metric counters.
    Gauges, histograms and the trace block are wall-clock derived, and
    the par.domain<k>.samples counters record which pool domain drained
    which chunk — scheduling accounting that varies between identical
    runs (the submitting domain competes with the workers), so they are
    excluded too. *)
 let deterministic_subset json =
-  let strip_wall = function
-    | Json.Obj kvs -> Json.Obj (List.filter (fun (k, _) -> k <> "wall_clock_s") kvs)
+  let strip_measured = function
+    | Json.Obj kvs ->
+        Json.Obj
+          (List.filter
+             (fun (k, _) -> not (List.mem k [ "wall_clock_s"; "minor_words"; "major_words" ]))
+             kvs)
     | other -> other
   in
   let exps =
     match Option.bind (Json.member "experiments" json) Json.to_list_opt with
-    | Some l -> Json.List (List.map strip_wall l)
+    | Some l -> Json.List (List.map strip_measured l)
     | None -> Json.Null
   in
   let comm = Option.value ~default:Json.Null (Json.member "comm" json) in
@@ -173,6 +178,11 @@ let test_perf_diff_exit_codes () =
     (command [ "perf-diff"; base; regressed; "--match"; "crypto/" ]);
   Alcotest.(check int) "no matching entries is an error" cli_error
     (command [ "perf-diff"; base; within; "--match"; "nonexistent/" ]);
+  List.iter
+    (fun t ->
+      Alcotest.(check int) ("threshold " ^ t ^ " is rejected") cli_error
+        (command [ "perf-diff"; base; regressed; "--threshold=" ^ t ]))
+    [ "-0.1"; "nan"; "inf" ];
   List.iter Sys.remove [ base; within; regressed; missing ]
 
 (* --- sessions -------------------------------------------------------- *)
@@ -291,7 +301,7 @@ let test_workload_jobs_invariant () =
   (* End-to-end jobs-invariance on the election workload: stdout minus
      the wall-clock-derived throughput and scheduler-race sched lines,
      the JSONL session log, and the report's workload block are
-     identical at jobs 1 and 2 — and the report validates at schema v7
+     identical at jobs 1 and 2 — and the report validates at schema v8
      with the workload block present. *)
   let run jobs =
     let out = temp ".workload.out" and log = temp ".workload.jsonl" in

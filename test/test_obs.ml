@@ -1,24 +1,17 @@
 (* Tests for sb_obs: metric semantics (including bucketed quantiles on
-   known data), span nesting, JSON emission/parsing, report shape, and
-   the layer's one hard contract: instrumentation must not perturb
-   seeded protocol runs. *)
+   known data), JSON emission/parsing, report shape, and the layer's
+   one hard contract: instrumentation must not perturb seeded protocol
+   runs. *)
 
 open Sb_obs
 
-(* Metrics/span state is process-global; every test that enables the
+(* Metrics state is process-global; every test that enables the
    layer funnels through this so a failure cannot leak enablement into
    a later test. *)
 let with_obs f =
   Metrics.reset ();
-  Span.reset ();
   Metrics.set_enabled true;
-  Span.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled false;
-      Span.set_enabled false;
-      Sink.detach_all ())
-    f
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) f
 
 (* --- counters and gauges ------------------------------------------ *)
 
@@ -94,44 +87,16 @@ let test_disabled_histogram_observes_nothing () =
   Metrics.observe h 0.5;
   Alcotest.(check int) "no count when disabled" 0 (Metrics.stats h).Metrics.count
 
-(* --- spans --------------------------------------------------------- *)
-
-let test_span_nesting () =
+let test_histogram_first_registration_wins () =
   with_obs (fun () ->
-      let r =
-        Span.with_span "outer" (fun () -> Span.with_span "inner" (fun () -> 42))
-      in
-      Alcotest.(check int) "value returned" 42 r;
-      match Span.records () with
-      | [ inner; outer ] ->
-          Alcotest.(check string) "inner closes first" "inner" inner.Span.name;
-          Alcotest.(check int) "inner depth" 1 inner.Span.depth;
-          Alcotest.(check (option string)) "inner parent" (Some "outer") inner.Span.parent;
-          Alcotest.(check string) "outer last" "outer" outer.Span.name;
-          Alcotest.(check int) "outer depth" 0 outer.Span.depth;
-          Alcotest.(check (option string)) "outer parent" None outer.Span.parent;
-          Alcotest.(check bool) "outer spans inner" true
-            (outer.Span.duration_s >= inner.Span.duration_s)
-      | rs -> Alcotest.failf "expected 2 spans, got %d" (List.length rs))
-
-let test_span_records_on_exception () =
-  with_obs (fun () ->
-      (try Span.with_span "boom" (fun () -> failwith "x") with Failure _ -> ());
-      match Span.find "boom" with
-      | Some _ -> ()
-      | None -> Alcotest.fail "span not recorded on exception");
-  (* The open-span stack must be popped, too. *)
-  with_obs (fun () ->
-      ignore (Span.with_span "after" (fun () -> 0));
-      match Span.records () with
-      | [ r ] -> Alcotest.(check int) "depth back to 0" 0 r.Span.depth
-      | rs -> Alcotest.failf "expected 1 span, got %d" (List.length rs))
-
-let test_span_disabled_records_nothing () =
-  Span.reset ();
-  Span.set_enabled false;
-  ignore (Span.with_span "ghost" (fun () -> 1));
-  Alcotest.(check int) "no records when disabled" 0 (List.length (Span.records ()))
+      let h = Metrics.histogram ~buckets:[| 1.0; 2.0; 3.0 |] "t.rereg" in
+      Alcotest.(check bool) "other buckets return the first histogram" true
+        (h == Metrics.histogram ~buckets:[| 5.0; 50.0 |] "t.rereg");
+      Alcotest.(check bool) "default buckets return the first histogram" true
+        (h == Metrics.histogram "t.rereg");
+      Metrics.reset ();
+      Alcotest.(check bool) "reset keeps the registration" true
+        (h == Metrics.histogram ~buckets:[| 9.0 |] "t.rereg"))
 
 (* --- json ---------------------------------------------------------- *)
 
@@ -187,7 +152,7 @@ let test_report_shape () =
           title = "unit fixture";
           ok = true;
           rows_checked = 3;
-          wall_clock_s = 0.5;
+          cost = { Metrics.wall_s = 0.5; minor_words = 1024.0; major_words = 8.0 };
           notes = [ "a note" ];
         }
       in
@@ -207,7 +172,13 @@ let test_report_shape () =
           let exps = Option.bind (Json.member "experiments" j') Json.to_list_opt |> Option.get in
           Alcotest.(check int) "one experiment" 1 (List.length exps);
           Alcotest.(check (option string)) "id survives" (Some "E1")
-            (Option.bind (Json.member "id" (List.hd exps)) Json.to_str_opt))
+            (Option.bind (Json.member "id" (List.hd exps)) Json.to_str_opt);
+          let num field = Option.bind (Json.member field (List.hd exps)) Json.to_float_opt in
+          Alcotest.(check (option (float 0.0))) "minor_words survives" (Some 1024.0)
+            (num "minor_words");
+          Alcotest.(check (option (float 0.0))) "major_words survives" (Some 8.0)
+            (num "major_words");
+          Alcotest.(check bool) "no spans block" true (Json.member "spans" j' = None))
 
 (* Robustness: [Json.of_string] then [Report.validate] is total.
    Inputs are arbitrary bytes, arrays and objects nested tens of
@@ -217,9 +188,10 @@ let test_report_shape () =
 let report_keys =
   [
     "schema_version"; "tool"; "tag"; "utc"; "experiments"; "id"; "title"; "ok";
-    "rows_checked"; "wall_clock_s"; "notes"; "metrics"; "counters"; "spans"; "comm";
-    "broadcasts"; "broadcast_bytes"; "parallel"; "jobs"; "timings"; "name"; "ns_per_run";
-    "r_square"; "sessions"; "trace"; "check"; "workload"; "tier"; "summary";
+    "rows_checked"; "wall_clock_s"; "minor_words"; "major_words"; "notes"; "metrics";
+    "counters"; "spans"; "comm"; "broadcasts"; "broadcast_bytes"; "parallel"; "jobs";
+    "timings"; "name"; "ns_per_run"; "r_square"; "sessions"; "trace"; "check"; "workload";
+    "tier"; "summary";
   ]
 
 let gen_json_value =
@@ -296,133 +268,47 @@ let qcheck_json_report_total =
       | Error _ -> true)
 
 let test_report_validate_rejects () =
-  let wrong = Json.Obj [ ("schema_version", Json.Int 999) ] in
-  (match Report.validate wrong with
-  | Ok () -> Alcotest.fail "accepted wrong schema_version"
-  | Error _ -> ());
-  match Report.validate (Json.Obj []) with
-  | Ok () -> Alcotest.fail "accepted empty object"
-  | Error _ -> ()
-
-(* --- events and sinks ---------------------------------------------- *)
-
-let test_event_emission () =
-  with_obs (fun () ->
-      let sink, read = Sink.memory () in
-      Sink.attach sink;
-      Event.emit ~fields:[ ("k", Json.Int 1) ] "unit-test";
-      Sink.detach sink;
-      Event.emit "after-detach";
-      match read () with
-      | [ line ] -> (
-          match Json.of_string line with
-          | Ok v ->
-              Alcotest.(check (option string)) "ev name" (Some "unit-test")
-                (Option.bind (Json.member "ev" v) Json.to_str_opt);
-              Alcotest.(check (option int)) "field" (Some 1)
-                (Option.bind (Json.member "k" v) Json.to_int_opt)
-          | Error e -> Alcotest.fail e)
-      | lines -> Alcotest.failf "expected 1 line, got %d" (List.length lines))
-
-let seq_of_line line =
-  match Json.of_string line with
-  | Ok v -> Option.bind (Json.member "seq" v) Json.to_int_opt |> Option.get
-  | Error e -> Alcotest.fail e
-
-let test_event_seq_monotone_under_domains () =
-  (* Worker domains emitting concurrently must never duplicate or skip
-     a sequence number: the collected seqs are exactly 1..N. *)
-  with_obs (fun () ->
-      Event.reset ();
-      let sink, read = Sink.memory () in
-      Sink.attach sink;
-      let pool = Sb_par.Pool.create ~domains:3 () in
-      let chunks = Array.init 8 Fun.id in
-      ignore
-        (Sb_par.Pool.map_chunks pool
-           ~f:(fun c ->
-             for i = 0 to 24 do
-               Event.emit
-                 ~fields:[ ("chunk", Json.Int c); ("i", Json.Int i) ]
-                 "unit.par"
-             done;
-             c)
-           chunks);
-      Sb_par.Pool.shutdown pool;
-      let total = 8 * 25 in
-      Alcotest.(check int) "seq advanced once per emit" total (Event.seq ());
-      let seqs = List.sort Int.compare (List.map seq_of_line (read ())) in
-      Alcotest.(check int) "every line delivered" total (List.length seqs);
-      Alcotest.(check (list int)) "seqs are exactly 1..N" (List.init total (fun i -> i + 1))
-        seqs)
-
-let test_sink_fanout_under_domains () =
-  (* Every attached sink receives every line, even when emissions come
-     from several worker domains at once. *)
-  with_obs (fun () ->
-      Event.reset ();
-      let sink_a, read_a = Sink.memory () in
-      let sink_b, read_b = Sink.memory () in
-      Sink.attach sink_a;
-      Sink.attach sink_b;
-      let pool = Sb_par.Pool.create ~domains:3 () in
-      ignore
-        (Sb_par.Pool.map_chunks pool
-           ~f:(fun c ->
-             for _ = 1 to 10 do
-               Event.emit ~fields:[ ("chunk", Json.Int c) ] "unit.fanout"
-             done;
-             c)
-           (Array.init 6 Fun.id));
-      Sb_par.Pool.shutdown pool;
-      let a = List.sort String.compare (read_a ()) in
-      let b = List.sort String.compare (read_b ()) in
-      Alcotest.(check int) "sink a got all lines" 60 (List.length a);
-      Alcotest.(check (list string)) "both sinks saw the same lines" a b)
-
-let test_histogram_bucket_mismatch_warns_once () =
-  with_obs (fun () ->
-      let sink, read = Sink.memory () in
-      Sink.attach sink;
-      let h = Metrics.histogram ~buckets:[| 1.0; 2.0; 3.0 |] "t.mismatch" in
-      let h' = Metrics.histogram ~buckets:[| 5.0; 50.0 |] "t.mismatch" in
-      Alcotest.(check bool) "existing histogram returned" true (h == h');
-      ignore (Metrics.histogram ~buckets:[| 7.0 |] "t.mismatch");
-      ignore (Metrics.histogram ~buckets:[| 1.0; 2.0; 3.0 |] "t.mismatch");
-      ignore (Metrics.histogram "t.mismatch");
-      let mismatches =
-        List.filter_map
-          (fun line ->
-            match Json.of_string line with
-            | Ok v
-              when Option.bind (Json.member "ev" v) Json.to_str_opt
-                   = Some "metrics.bucket_mismatch" ->
-                Some v
-            | _ -> None)
-          (read ())
-      in
-      (match mismatches with
-      | [ ev ] ->
-          Alcotest.(check (option string)) "names the histogram" (Some "t.mismatch")
-            (Option.bind (Json.member "name" ev) Json.to_str_opt);
-          Alcotest.(check (option int)) "registered bucket count" (Some 3)
-            (Option.bind (Json.member "registered_buckets" ev) Json.to_int_opt);
-          Alcotest.(check (option int)) "requested bucket count" (Some 2)
-            (Option.bind (Json.member "requested_buckets" ev) Json.to_int_opt)
-      | evs -> Alcotest.failf "expected exactly 1 mismatch event, got %d" (List.length evs));
-      (* reset rearms the warning. *)
-      Metrics.reset ();
-      ignore (Metrics.histogram ~buckets:[| 9.0 |] "t.mismatch");
-      let after =
-        List.filter (fun l -> String.length l > 0) (read ())
-        |> List.filter (fun line ->
-               match Json.of_string line with
-               | Ok v ->
-                   Option.bind (Json.member "ev" v) Json.to_str_opt
-                   = Some "metrics.bucket_mismatch"
-               | Error _ -> false)
-      in
-      Alcotest.(check int) "reset rearms the one-shot" 2 (List.length after))
+  let fixture =
+    {
+      Report.id = "E1";
+      title = "unit fixture";
+      ok = true;
+      rows_checked = 1;
+      cost = { Metrics.wall_s = 0.1; minor_words = 1.0; major_words = 0.0 };
+      notes = [];
+    }
+  in
+  let valid = Report.make ~experiments:[ fixture ] () in
+  Alcotest.(check bool) "fixture validates" true (Report.validate valid = Ok ());
+  (* The same report with one experiment field swapped for a string. *)
+  let minor_words_as_string = function
+    | Json.Obj e ->
+        Json.Obj
+          (List.map (fun (k, v) -> if k = "minor_words" then (k, Json.Str "many") else (k, v)) e)
+    | other -> other
+  in
+  let words_not_a_number =
+    match valid with
+    | Json.Obj kvs ->
+        Json.Obj
+          (List.map
+             (function
+               | "experiments", Json.List es ->
+                   ("experiments", Json.List (List.map minor_words_as_string es))
+               | kv -> kv)
+             kvs)
+    | other -> other
+  in
+  List.iter
+    (fun (label, json) ->
+      match Report.validate json with
+      | Ok () -> Alcotest.failf "accepted %s" label
+      | Error _ -> ())
+    [
+      ("wrong schema_version", Json.Obj [ ("schema_version", Json.Int 999) ]);
+      ("empty object", Json.Obj []);
+      ("non-numeric minor_words", words_not_a_number);
+    ]
 
 (* --- the simulator under instrumentation --------------------------- *)
 
@@ -443,18 +329,23 @@ let render (r : Sb_sim.Network.result) =
 
 let test_instrumentation_is_inert () =
   (* The acceptance bar: a seeded run yields byte-identical outputs and
-     trace with observability fully on (metrics + spans + sinks) vs
+     trace with observability fully on (metrics + causal tracing) vs
      fully off. *)
   Metrics.set_enabled false;
-  Span.set_enabled false;
+  Trace_ctx.set_enabled false;
   let plain = render (run_fixture ()) in
   let observed =
     with_obs (fun () ->
-        let sink, read = Sink.memory () in
-        Sink.attach sink;
-        let r = render (run_fixture ()) in
-        Alcotest.(check bool) "events were emitted" true (List.length (read ()) > 0);
-        r)
+        Trace_ctx.reset ();
+        Trace_ctx.set_enabled true;
+        Fun.protect
+          ~finally:(fun () -> Trace_ctx.set_enabled false)
+          (fun () ->
+            let r = render (run_fixture ()) in
+            Alcotest.(check bool) "spans were recorded" true (Trace_ctx.spans () <> []);
+            Alcotest.(check bool) "rounds were counted" true
+              (Metrics.counter_value (Metrics.counter "sim.rounds") > 0);
+            r))
   in
   Alcotest.(check string) "byte-identical outputs and trace" plain observed;
   let plain_again = render (run_fixture ()) in
@@ -537,39 +428,6 @@ let test_network_counters_match_trace () =
         traffic_plans)
     traffic_cases
 
-let test_run_event_independent_of_trace () =
-  (* The network.run event describes the run, not what it retained:
-     the same seed must emit the same event with and without a trace. *)
-  let event record_trace =
-    with_obs (fun () ->
-        let sink, read = Sink.memory () in
-        Sink.attach sink;
-        Event.reset ();
-        let r = run_fixture ~record_trace () in
-        let lines =
-          List.filter
-            (fun l ->
-              match Json.of_string l with
-              | Ok j -> Json.member "ev" j = Some (Json.Str "network.run")
-              | Error _ -> false)
-            (read ())
-        in
-        (r.Sb_sim.Network.rounds_used, lines))
-  in
-  let rounds, traced = event true in
-  let _, untraced = event false in
-  Alcotest.(check (list string)) "same event" traced untraced;
-  let per_round =
-    match untraced with
-    | [ l ] ->
-        Result.to_option (Json.of_string l)
-        |> Fun.flip Option.bind (Json.member "per_round")
-        |> Fun.flip Option.bind Json.to_list_opt
-    | _ -> None
-  in
-  Alcotest.(check (option int)) "one per_round entry per sending round" (Some rounds)
-    (Option.map List.length per_round)
-
 let test_messages_from_agrees_with_per_round () =
   let r = run_fixture () in
   let trace = r.Sb_sim.Network.trace in
@@ -595,15 +453,14 @@ let test_registry_covers_all_and_finds () =
   | None -> Alcotest.fail "find e5");
   Alcotest.(check bool) "unknown id rejected" true (Core.Experiments.find "e9" = None)
 
-let test_registry_runner_spans_and_counters () =
+let test_registry_runner_counters () =
   with_obs (fun () ->
       let e = Option.get (Core.Experiments.find "E6") in
       let setup = Core.Setup.with_samples 400 Core.Setup.quick in
       let o = e.Core.Experiments.run setup in
       Alcotest.(check bool) "outcome ok" true o.Core.Experiments.ok;
-      (match Span.find "experiment:E6" with
-      | Some s -> Alcotest.(check bool) "span has duration" true (s.Span.duration_s >= 0.0)
-      | None -> Alcotest.fail "experiment span missing");
+      Alcotest.(check int) "verdict rolled up" 1
+        (Metrics.counter_value (Metrics.counter "exp.ok"));
       Alcotest.(check bool) "samples counted" true
         (Metrics.counter_value (Metrics.counter "exp.samples_drawn") > 0);
       Alcotest.(check int) "rows rolled up" o.Core.Experiments.rows_checked
@@ -620,12 +477,8 @@ let () =
           Alcotest.test_case "histogram single value" `Quick test_histogram_single_value;
           Alcotest.test_case "histogram overflow bucket" `Quick test_histogram_overflow_bucket;
           Alcotest.test_case "disabled histogram" `Quick test_disabled_histogram_observes_nothing;
-        ] );
-      ( "span",
-        [
-          Alcotest.test_case "nesting" `Quick test_span_nesting;
-          Alcotest.test_case "records on exception" `Quick test_span_records_on_exception;
-          Alcotest.test_case "disabled records nothing" `Quick test_span_disabled_records_nothing;
+          Alcotest.test_case "histogram first registration wins" `Quick
+            test_histogram_first_registration_wins;
         ] );
       ( "json",
         [
@@ -639,28 +492,16 @@ let () =
           Alcotest.test_case "validate rejects" `Quick test_report_validate_rejects;
           QCheck_alcotest.to_alcotest qcheck_json_report_total;
         ] );
-      ( "event",
-        [
-          Alcotest.test_case "emission to memory sink" `Quick test_event_emission;
-          Alcotest.test_case "seq monotone under worker domains" `Quick
-            test_event_seq_monotone_under_domains;
-          Alcotest.test_case "sink fan-out under worker domains" `Quick
-            test_sink_fanout_under_domains;
-          Alcotest.test_case "histogram bucket mismatch warns once" `Quick
-            test_histogram_bucket_mismatch_warns_once;
-        ] );
       ( "simulator",
         [
           Alcotest.test_case "instrumentation is inert" `Quick test_instrumentation_is_inert;
           Alcotest.test_case "counters match trace" `Quick test_network_counters_match_trace;
-          Alcotest.test_case "network.run event without trace" `Quick
-            test_run_event_independent_of_trace;
           Alcotest.test_case "messages_from vs per_round_counts" `Quick
             test_messages_from_agrees_with_per_round;
         ] );
       ( "registry",
         [
           Alcotest.test_case "ids and find" `Quick test_registry_covers_all_and_finds;
-          Alcotest.test_case "runner instruments" `Quick test_registry_runner_spans_and_counters;
+          Alcotest.test_case "runner instruments" `Quick test_registry_runner_counters;
         ] );
     ]
