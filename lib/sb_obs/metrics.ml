@@ -37,13 +37,22 @@ type cost = { wall_s : float; minor_words : float; major_words : float }
 let measure f =
   (* Gc.counters, not quick_stat: the latter refreshes its allocation
      totals only at collection boundaries, so a short call would read
-     as allocation-free. *)
+     as allocation-free. Gc.counters is per domain, so the words of
+     pool tasks that ran on other domains are added from the pool's
+     running totals. *)
   let min0, _, maj0 = Gc.counters () in
+  let wmin0, wmaj0 = Sb_par.Pool.worker_words () in
   let t0 = now_s () in
   let r = f () in
   let t1 = now_s () in
   let min1, _, maj1 = Gc.counters () in
-  (r, { wall_s = t1 -. t0; minor_words = min1 -. min0; major_words = maj1 -. maj0 })
+  let wmin1, wmaj1 = Sb_par.Pool.worker_words () in
+  ( r,
+    {
+      wall_s = t1 -. t0;
+      minor_words = min1 -. min0 +. float_of_int (wmin1 - wmin0);
+      major_words = maj1 -. maj0 +. float_of_int (wmaj1 - wmaj0);
+    } )
 
 let locked f =
   Mutex.lock reg_lock;

@@ -30,16 +30,17 @@ val now_s : unit -> float
 
 type cost = {
   wall_s : float;  (** {!now_s} delta *)
-  minor_words : float;  (** [Gc.counters] deltas *)
+  minor_words : float;  (** [Gc.counters] deltas, pool workers included *)
   major_words : float;
 }
 
 val measure : (unit -> 'a) -> 'a * cost
 (** Run the thunk and return its result with its wall clock and the
-    words it allocated. The words are those of the calling domain
-    (OCaml 5's [Gc.counters]): work the thunk hands to pool worker
-    domains is not counted, so only the wall clock and the words of a
-    [--jobs 1] run are comparable across runs. *)
+    words it allocated: the calling domain's [Gc.counters] delta plus
+    the words {!Sb_par.Pool} tasks allocated on worker domains meanwhile
+    ({!Sb_par.Pool.worker_words}), so the figure covers work the thunk
+    fans out at any [--jobs]. Pool work started by other threads of
+    control while the thunk runs is counted too. *)
 
 val counter : string -> counter
 (** Intern (create or look up) a counter by name. *)

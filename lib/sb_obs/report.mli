@@ -76,7 +76,9 @@ val make :
     Schema v8 drops the top-level ["spans"] array: its per-experiment
     durations repeated [wall_clock_s]. The allocation it carried moves
     into each experiment entry as numeric [minor_words] and
-    [major_words] ({!Metrics.measure}); like [wall_clock_s] they are
+    [major_words] ({!Metrics.measure}: the whole fan-out's words,
+    pool worker domains included, so the figures of a [--jobs 1] and a
+    [--jobs 2] run are comparable); like [wall_clock_s] they are
     measured, not deterministic. *)
 
 val write_file : string -> Json.t -> unit

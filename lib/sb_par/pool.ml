@@ -15,6 +15,13 @@ type t = {
 let ix_key = Domain.DLS.new_key (fun () -> 0)
 let worker_index () = Domain.DLS.get ix_key
 
+(* Words allocated by [map_chunks] tasks on domains other than their
+   submitter, summed over every pool; the submitter's own words show in
+   its own [Gc.counters]. *)
+let foreign_minor = Atomic.make 0
+let foreign_major = Atomic.make 0
+let worker_words () = (Atomic.get foreign_minor, Atomic.get foreign_major)
+
 let rec worker_loop t =
   Mutex.lock t.mutex;
   while Queue.is_empty t.queue && not t.closed do
@@ -72,9 +79,21 @@ let map_chunks t ~f arr =
     let results = Array.make n None in
     let remaining = ref n in
     let all_done = Condition.create () in
+    let submitter = Domain.self () in
+    let apply i =
+      try Ok (f arr.(i)) with e -> Error (e, Printexc.get_raw_backtrace ())
+    in
     let task i () =
       let r =
-        try Ok (f arr.(i)) with e -> Error (e, Printexc.get_raw_backtrace ())
+        if Domain.self () = submitter then apply i
+        else begin
+          let min0, _, maj0 = Gc.counters () in
+          let r = apply i in
+          let min1, _, maj1 = Gc.counters () in
+          ignore (Atomic.fetch_and_add foreign_minor (int_of_float (min1 -. min0)));
+          ignore (Atomic.fetch_and_add foreign_major (int_of_float (maj1 -. maj0)));
+          r
+        end
       in
       Mutex.lock t.mutex;
       results.(i) <- Some r;

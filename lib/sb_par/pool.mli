@@ -40,6 +40,14 @@ val worker_index : unit -> int
     domain, [1 .. size - 1] for spawned workers. Useful for per-domain
     accounting (e.g. sample counters in run reports). *)
 
+val worker_words : unit -> int * int
+(** Running totals of the minor and major words that [map_chunks]
+    tasks allocated on a domain other than the one that submitted them,
+    summed over every pool of the process. A caller that adds the
+    change in these totals to its own [Gc.counters] delta gets the
+    words of the work it fanned out; the one-domain path runs every
+    task on the caller and adds nothing here. *)
+
 (** {2 Process-default pool}
 
     The CLI's [--jobs] flag configures a lazily-created shared pool so

@@ -12,7 +12,7 @@ let confirm_round ~n = salt_round ~n + 1
 let reveal_round ~n = confirm_round ~n + 1
 
 let knowledge_tag ~salt ~dealer ~secret ~blind =
-  Sha256.digest
+  Once.digest
     (Printf.sprintf "cr-pok:%s:%d:%d:%d" salt dealer (Field.to_int secret)
        (Field.to_int blind))
 

@@ -36,4 +36,5 @@ val reveal_round : n:int -> int
 
 val knowledge_tag : salt:string -> dealer:int -> secret:Sb_crypto.Field.t -> blind:Sb_crypto.Field.t -> string
 (** The hash every party recomputes to validate a dealer's
-    proof-of-knowledge tag. *)
+    proof-of-knowledge tag; served by the domain's {!Once.digest} memo,
+    so equal inputs are hashed once. *)

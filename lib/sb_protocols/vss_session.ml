@@ -18,11 +18,6 @@ type t = {
   (* Receiver side *)
   mutable commitment : Pedersen.commitment option;
   mutable my_share : Pedersen.share option;
-  (* Cached verdict of [Pedersen.verify_share commitment my_share];
-     cleared whenever either input changes, so the complain-round check
-     is reused by [reveal_msgs] instead of re-running the commitment
-     evaluation. *)
-  mutable my_share_ok : bool option;
   mutable complainers : int list;
   mutable disqualified : bool;
   (* Verified reveals indexed by source party; the first valid reveal
@@ -72,7 +67,6 @@ let create ctx ~rng ~dealer ~me ~secret =
     secret_in = secret;
     commitment = None;
     my_share = None;
-    my_share_ok = None;
     complainers = [];
     disqualified = false;
     reveals = Array.make ctx.Ctx.n None;
@@ -91,25 +85,13 @@ let decode_share_pair index = function
 
 let encode_share (s : Pedersen.share) = Msg.List [ Msg.Fe s.Pedersen.value; Msg.Fe s.Pedersen.blind ]
 
-let set_commitment t c =
-  t.commitment <- c;
-  t.my_share_ok <- None
-
-let set_my_share t s =
-  t.my_share <- s;
-  t.my_share_ok <- None
-
+(* Every share check goes through the content-keyed memo: the
+   complain-round check of my own share is the one every receiver
+   repeats when I reveal it, and the one [reveal_msgs] repeats. *)
 let my_share_valid t =
-  match t.my_share_ok with
-  | Some ok -> ok
-  | None ->
-      let ok =
-        match (t.commitment, t.my_share) with
-        | Some c, Some s -> Pedersen.verify_share c s
-        | _ -> false
-      in
-      t.my_share_ok <- Some ok;
-      ok
+  match (t.commitment, t.my_share) with
+  | Some c, Some s -> Once.verify_share c s
+  | _ -> false
 
 (* Trace_ctx phase names for the local rounds (see the mli round
    glossary); sessions driven past round 3 show up as vss.idle. *)
@@ -127,8 +109,8 @@ let step_impl t ~round ~inbox =
       match t.dealt with
       | None -> []
       | Some d ->
-          set_commitment t (Some d.Pedersen.commitment);
-          set_my_share t (Some d.Pedersen.shares.(t.me));
+          t.commitment <- Some d.Pedersen.commitment;
+          t.my_share <- Some d.Pedersen.shares.(t.me);
           Envelope.broadcast ~src:t.me
             (Msg.Tag
                ( t.tag_comm,
@@ -146,10 +128,10 @@ let step_impl t ~round ~inbox =
       (* Receive commitment and share; complain if anything is off. *)
       if t.me <> t.dealer then begin
         (match Wire.first_from ~tag:t.tag_comm ~src:t.dealer inbox with
-        | Some m -> set_commitment t (decode_commitment t.ctx m)
+        | Some m -> t.commitment <- decode_commitment t.ctx m
         | None -> ());
         match Wire.first_from ~tag:t.tag_share ~src:t.dealer inbox with
-        | Some m -> set_my_share t (decode_share_pair t.me m)
+        | Some m -> t.my_share <- decode_share_pair t.me m
         | None -> ()
       end;
       let unhappy = not (my_share_valid t) in
@@ -189,12 +171,12 @@ let step_impl t ~round ~inbox =
       | None -> t.disqualified <- true
       | Some c ->
           let answered j =
-            List.exists (fun (i, s) -> i = j && Pedersen.verify_share c s) responses
+            List.exists (fun (i, s) -> i = j && Once.verify_share c s) responses
           in
           if not (List.for_all answered t.complainers) then t.disqualified <- true
           else if List.mem t.me t.complainers then
             (* Adopt the (valid) public response as my share. *)
-            set_my_share t (List.assoc_opt t.me responses));
+            t.my_share <- List.assoc_opt t.me responses);
       []
   | _ -> []
 
@@ -227,7 +209,7 @@ let collect_reveals t inbox =
             when src >= 0 && src < Array.length t.reveals
                  && Option.is_none t.reveals.(src) && String.equal tag t.tag_reveal -> (
               match decode_share_pair src m with
-              | Some s when Pedersen.verify_share c s -> t.reveals.(src) <- Some s
+              | Some s when Once.verify_share c s -> t.reveals.(src) <- Some s
               | Some _ | None -> ())
           | _ -> ())
         inbox

@@ -87,6 +87,36 @@ let test_disabled_histogram_observes_nothing () =
   Metrics.observe h 0.5;
   Alcotest.(check int) "no count when disabled" 0 (Metrics.stats h).Metrics.count
 
+let test_measure_counts_pool_workers () =
+  (* Two tasks on a two-domain pool. Each waits until both have
+     started, so one of them runs on the spawned worker; then each
+     allocates [k] four-word blocks. OCaml 5's [Gc.counters] can lag a
+     domain's allocation by up to one minor heap, so the bound allows
+     one per domain; the words of the worker's task alone are far more
+     than that. *)
+  let k = 1_000_000 in
+  let pool = Sb_par.Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Sb_par.Pool.shutdown pool)
+    (fun () ->
+      let started = Atomic.make 0 in
+      let task _ =
+        Atomic.incr started;
+        while Atomic.get started < 2 do
+          Domain.cpu_relax ()
+        done;
+        for i = 1 to k do
+          ignore (Sys.opaque_identity (Array.make 3 i))
+        done
+      in
+      let (), cost =
+        Metrics.measure (fun () -> ignore (Sb_par.Pool.map_chunks pool ~f:task [| 0; 1 |]))
+      in
+      let bound = (2 * 4 * k) - (2 * (Gc.get ()).Gc.minor_heap_size) in
+      if cost.Metrics.minor_words < float_of_int bound then
+        Alcotest.failf "measure saw %.0f minor words; the two tasks allocated %d"
+          cost.Metrics.minor_words (2 * 4 * k))
+
 let test_histogram_first_registration_wins () =
   with_obs (fun () ->
       let h = Metrics.histogram ~buckets:[| 1.0; 2.0; 3.0 |] "t.rereg" in
@@ -479,6 +509,7 @@ let () =
           Alcotest.test_case "disabled histogram" `Quick test_disabled_histogram_observes_nothing;
           Alcotest.test_case "histogram first registration wins" `Quick
             test_histogram_first_registration_wins;
+          Alcotest.test_case "measure counts pool workers" `Quick test_measure_counts_pool_workers;
         ] );
       ( "json",
         [

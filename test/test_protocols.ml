@@ -446,6 +446,286 @@ let test_vss_golden () =
         "ce07d86b03cab8421fae0a68d6ef9cea", "b263dea808da38faaa96983e254b8d69" );
     ]
 
+(* --- content-keyed memos vs the raw kernels ---------------------------- *)
+
+module Once = Sb_protocols.Once
+module Ped = Sb_crypto.Pedersen
+
+type key_field = Elt of int | Index | Value | Blind | Longer
+
+(* The key with one field replaced by a fresh random value; [Longer]
+   appends a commitment element instead. *)
+let mutate rng (c, (s : Ped.share)) = function
+  | Elt j ->
+      let c' = Array.copy c in
+      c'.(j) <- Sb_crypto.Modgroup.pow_g (Sb_crypto.Field.random rng);
+      (c', s)
+  | Index -> (c, { s with Ped.index = Sb_util.Rng.int rng (1 lsl 20) })
+  | Value -> (c, { s with Ped.value = Sb_crypto.Field.random rng })
+  | Blind -> (c, { s with Ped.blind = Sb_crypto.Field.random rng })
+  | Longer -> (Array.append c [| Sb_crypto.Modgroup.pow_g (Sb_crypto.Field.random rng) |], s)
+
+(* Rejection-samples a key that differs from [key] by [change] and maps
+   to the same memo slot, so the two evict each other and a comparison
+   that skips the changed field returns the other key's result. *)
+let colliding ~slot ~change key =
+  let rec go tries =
+    if tries = 0 then Alcotest.fail "no colliding key found"
+    else
+      let k' = change key in
+      if slot k' = slot key && k' <> key then k' else go (tries - 1)
+  in
+  go 1_000_000
+
+let qcheck_verify_memo =
+  QCheck.Test.make ~count:20 ~name:"Once.verify_share = Pedersen.verify_share"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Sb_util.Rng.create seed in
+      let agree (c, s) = Bool.equal (Once.verify_share c s) (Ped.verify_share c s) in
+      let slot (c, s) = Once.verify_slot c s in
+      (* A valid share and its tampered twin for each t = 1 .. 7. *)
+      let keys =
+        List.concat_map
+          (fun t ->
+            let parties = t + 1 + Sb_util.Rng.int rng 3 in
+            let d =
+              Ped.deal rng ~threshold:t ~parties ~secret:(Sb_crypto.Field.random rng)
+            in
+            let s = d.Ped.shares.(Sb_util.Rng.int rng parties) in
+            [ (d.Ped.commitment, s);
+              (d.Ped.commitment, { s with Ped.value = Sb_crypto.Field.add s.Ped.value Sb_crypto.Field.one }) ])
+          [ 1; 2; 3; 4; 5; 6; 7 ]
+      in
+      let probe ((c, _) as key) =
+        (* Exact repeats, then every one-field variant in the key's slot,
+           alternating with the key so each evicts the other. *)
+        agree key && agree key
+        && List.for_all
+             (fun field ->
+               let v = colliding ~slot ~change:(fun k -> mutate rng k field) key in
+               agree v && agree key && agree v && agree v && agree key)
+             (Longer :: Index :: Value :: Blind :: List.init (Array.length c) (fun j -> Elt j))
+      in
+      List.for_all probe keys && List.for_all agree (List.rev keys))
+
+let qcheck_digest_memo =
+  QCheck.Test.make ~count:20 ~name:"Once.digest = Sha256.digest" QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Sb_util.Rng.create seed in
+      let agree s = String.equal (Once.digest s) (Sb_crypto.Sha256.digest s) in
+      let fresh () = Sb_util.Rng.bytes rng (16 + Sb_util.Rng.int rng 64) in
+      let one_byte s =
+        let b = Bytes.of_string s in
+        let i = Sb_util.Rng.int rng (Bytes.length b) in
+        Bytes.set b i (Char.chr ((Char.code s.[i] + 1 + Sb_util.Rng.int rng 255) land 255));
+        Bytes.to_string b
+      in
+      let longer s = s ^ Sb_util.Rng.bytes rng (1 + Sb_util.Rng.int rng 8) in
+      let inputs =
+        List.init 6 (fun _ -> fresh ())
+        @ List.init 4 (fun d ->
+              Printf.sprintf "cr-pok:%s:%d:%d:%d" (fresh ()) d (Sb_util.Rng.int rng Sb_crypto.Field.p)
+                (Sb_util.Rng.int rng Sb_crypto.Field.p))
+      in
+      let probe s =
+        agree s && agree s
+        && List.for_all
+             (fun change ->
+               let v = colliding ~slot:Once.digest_slot ~change s in
+               agree v && agree s && agree v && agree v && agree s)
+             [ one_byte; longer; (fun _ -> fresh ()) ]
+      in
+      List.for_all probe inputs && List.for_all agree (List.rev inputs))
+
+(* --- equivocating revealer --------------------------------------------- *)
+
+(* A corrupted revealer sends, point to point, a different variant of its
+   reveal to each receiver: [variant ~corrupt ~receiver] picks its own
+   valid share, a tampered copy (value + 1), or another party's valid
+   share under its own name. *)
+type variant = Valid | Tampered | Other_index
+
+let variant ~corrupt ~receiver =
+  match (corrupt + receiver) mod 3 with 0 -> Valid | 1 -> Tampered | _ -> Other_index
+
+let tamper = function
+  | Msg.List [ Msg.Fe v; blind ] -> Msg.List [ Msg.Fe (Sb_crypto.Field.add v Sb_crypto.Field.one); blind ]
+  | m -> m
+
+(* Session level, against the unmemoised reference: dealer 0 shares
+   among five sessions, then every receiver gets the honest reveals of
+   1 and 2 and corrupted party 4's variant, so that variant decides
+   whether the receiver reaches t + 1 = 3 verifying shares. A receiver
+   given a bad variant later gets party 3's reveal too. Returns one line
+   per receiver, or the first disagreement with the reference. *)
+let equivocation_scenario seed =
+  let n = 5 in
+  let ctx = Ctx.make ~rng:(Sb_util.Rng.create (7000 + seed)) ~n ~thresh:2 ~k:8 () in
+  let rng = Sb_util.Rng.create seed in
+  let dealt = Sb_crypto.Field.random rng in
+  let sessions =
+    Array.init n (fun me ->
+        Sb_protocols.Vss_session.create ctx ~rng:(Sb_util.Rng.split rng) ~dealer:0 ~me
+          ~secret:(if me = 0 then Some dealt else None))
+  in
+  let commitment = ref [||] in
+  let sent = ref [] in
+  for round = 0 to Sb_protocols.Vss_session.local_rounds do
+    let inbox me = List.filter (fun e -> Envelope.delivered_to e me) !sent in
+    sent :=
+      List.concat
+        (Array.to_list
+           (Array.mapi (fun me s -> Sb_protocols.Vss_session.step s ~round ~inbox:(inbox me)) sessions));
+    List.iter
+      (fun (e : Envelope.t) ->
+        match e.Envelope.body with
+        | Msg.Tag ("vss:0:comm", Msg.List elts) ->
+            commitment := Array.of_list (List.map (function Msg.Ge g -> g | _ -> assert false) elts)
+        | _ -> ())
+      !sent
+  done;
+  let body src =
+    match Sb_protocols.Vss_session.reveal_msgs sessions.(src) with
+    | [ { Envelope.body = Msg.Tag (_, m); _ } ] -> m
+    | _ -> failwith "expected one reveal"
+  in
+  let reveal ~src ~dst m = Envelope.make ~src ~dst (Msg.Tag ("vss:0:reveal", m)) in
+  let from4 receiver =
+    match variant ~corrupt:4 ~receiver with
+    | Valid -> body 4
+    | Tampered -> tamper (body 4)
+    | Other_index -> body 0
+  in
+  (* The reference: the first verifying reveal per source, by the raw
+     kernel. *)
+  let reference batches =
+    let accepted = Array.make n None in
+    List.iter
+      (List.iter (fun (e : Envelope.t) ->
+           match (Envelope.src_party e, e.Envelope.body) with
+           | Some src, Msg.Tag (_, Msg.List [ Msg.Fe value; Msg.Fe blind ])
+             when Option.is_none accepted.(src) ->
+               let s = { Sb_crypto.Pedersen.index = src; value; blind } in
+               if Sb_crypto.Pedersen.verify_share !commitment s then accepted.(src) <- Some s
+           | _ -> ()))
+      batches;
+    let shares = List.filter_map Fun.id (Array.to_list accepted) in
+    if List.length shares >= 3 then
+      (Some (Sb_crypto.Pedersen.reconstruct shares), Some (Sb_crypto.Pedersen.reconstruct_blind shares))
+    else (None, None)
+  in
+  let show = function None -> "-" | Some f -> string_of_int (Sb_crypto.Field.to_int f) in
+  List.map
+    (fun receiver ->
+      let first = [ reveal ~src:4 ~dst:receiver (from4 receiver); reveal ~src:1 ~dst:receiver (body 1);
+                    reveal ~src:2 ~dst:receiver (body 2) ] in
+      let batches =
+        if variant ~corrupt:4 ~receiver = Valid then [ first ]
+        else [ first; [ reveal ~src:3 ~dst:receiver (body 3) ] ]
+      in
+      let observer = sessions.(receiver) in
+      List.iter (Sb_protocols.Vss_session.collect_reveals observer) batches;
+      let got = (Sb_protocols.Vss_session.secret observer, Sb_protocols.Vss_session.blind observer) in
+      let want = reference batches in
+      if got <> want then
+        Printf.sprintf "seed %d receiver %d: got %s/%s, reference %s/%s" seed receiver (show (fst got))
+          (show (snd got)) (show (fst want)) (show (snd want))
+      else Printf.sprintf "%d:%s/%s" receiver (show (fst got)) (show (snd got)))
+    [ 0; 1; 2; 3 ]
+  |> String.concat ";"
+
+(* Network level: corrupted parties 3 and 4 run the protocol honestly
+   but replace each of their reveal broadcasts by per-receiver point-to-
+   point variants; the other-index variant forwards the lowest honest
+   party's same-round reveal, read off the rushed view. *)
+let equivocating_revealer (p : Protocol.t) =
+  let base = Adversary.semi_honest p ~corrupt:[ 3; 4 ] in
+  let is_reveal tag = String.ends_with ~suffix:":reveal" tag in
+  {
+    base with
+    Adversary.name = "equivocating-revealer";
+    init =
+      (fun ctx ~rng ~corrupted ~inputs ~aux ->
+        let s = base.Adversary.init ctx ~rng ~corrupted ~inputs ~aux in
+        {
+          s with
+          Adversary.act =
+            (fun view ->
+              let honest_reveal tag =
+                List.find_map
+                  (fun (e : Envelope.t) ->
+                    match e.Envelope.body with
+                    | Msg.Tag (t, m) when String.equal t tag -> Some m
+                    | _ -> None)
+                  view.Adversary.rushed
+              in
+              List.concat_map
+                (fun (e : Envelope.t) ->
+                  match (Envelope.src_party e, e.Envelope.body) with
+                  | Some src, Msg.Tag (tag, m) when Envelope.is_broadcast e && is_reveal tag ->
+                      List.init ctx.Ctx.n (fun dst ->
+                          let m' =
+                            match variant ~corrupt:src ~receiver:dst with
+                            | Valid -> m
+                            | Tampered -> tamper m
+                            | Other_index -> Option.value (honest_reveal tag) ~default:m
+                          in
+                          Envelope.make ~src ~dst (Msg.Tag (tag, m')))
+                  | _ -> [ e ])
+                (s.Adversary.act view));
+        });
+  }
+
+let equivocation_run (p : Protocol.t) seed =
+  let n = 5 in
+  let ctx = Ctx.make ~rng:(Sb_util.Rng.create (1000 + seed)) ~n ~thresh:2 ~k:8 () in
+  let rng = Sb_util.Rng.create seed in
+  let inputs = Array.init n (fun _ -> Msg.Bit (Sb_util.Rng.bool rng)) in
+  let r =
+    Network.run ctx ~rng ~protocol:p ~adversary:(equivocating_revealer p) ~inputs ~record_trace:false
+      ~record_comm:true ()
+  in
+  let outputs =
+    List.map (fun (i, m) -> Printf.sprintf "%d=%s;" i (Msg.to_string m)) r.Network.outputs
+  in
+  let expected = Msg.bits (Array.to_list (Array.map Msg.to_bit_exn inputs)) in
+  ( List.for_all (fun (_, m) -> Msg.equal m expected) r.Network.outputs,
+    Printf.sprintf "%s|%d|%d\n" (String.concat "" outputs) r.Network.rounds_used r.Network.p2p_messages )
+
+let with_pool domains f =
+  let pool = Sb_par.Pool.create ~domains () in
+  Fun.protect ~finally:(fun () -> Sb_par.Pool.shutdown pool) (fun () -> f pool)
+
+(* The golden digests were captured with every share check on the raw
+   kernel. Both pool sizes run in one process, so the runs land on one
+   and then two domain-local memo tables. *)
+let test_equivocating_revealer () =
+  List.iter
+    (fun domains ->
+      with_pool domains (fun pool ->
+          let seeds = Array.init 24 (fun i -> i + 1) in
+          let lines = Sb_par.Pool.map_chunks pool ~f:equivocation_scenario seeds in
+          Array.iter (fun l -> if String.starts_with ~prefix:"seed" l then Alcotest.fail l) lines;
+          Alcotest.(check string)
+            (Printf.sprintf "session level, %d domains" domains)
+            "7053f712dcf8a6f072acc8ab55b36640"
+            (Digest.to_hex (Digest.string (String.concat "\n" (Array.to_list lines))));
+          List.iter
+            (fun (name, p, expected) ->
+              let runs = Sb_par.Pool.map_chunks pool ~f:(equivocation_run p) (Array.init 40 (fun i -> i + 1)) in
+              Alcotest.(check bool) (name ^ " announces every input") true (Array.for_all fst runs);
+              Alcotest.(check string)
+                (Printf.sprintf "%s, %d domains" name domains)
+                expected
+                (Digest.to_hex (Digest.string (String.concat "" (Array.to_list (Array.map snd runs))))))
+            [
+              ("cgma-vss", Sb_protocols.Cgma.protocol, "807a6bdd4dfa7f6ab01f00b7f19a58b3");
+              ("gennaro-constant", Sb_protocols.Gennaro.protocol, "5bc44dca7841aeff46b9cf9534a6bad4");
+              ("chor-rabin-log", Sb_protocols.Chor_rabin.protocol, "57467b57824053f0f6c3b7d6c8a057b3");
+            ]))
+    [ 1; 2 ]
+
 (* --- Multi wrapper ---------------------------------------------------- *)
 
 let test_multi_roundtrip () =
@@ -656,6 +936,7 @@ let () =
               test_chor_rabin_bad_knowledge_tag;
             Alcotest.test_case "reveal collection" `Quick test_vss_reveal_collection;
             Alcotest.test_case "golden digests" `Quick test_vss_golden;
+            Alcotest.test_case "equivocating revealer" `Quick test_equivocating_revealer;
           ] );
         ( "multi",
           [
@@ -677,5 +958,5 @@ let () =
             (List.map qcheck_honest_contract all_protocols
             @ List.map qcheck_semi_honest_contract
                 (List.filter (fun (n, _) -> n <> "ideal-fsb") all_protocols)
-            @ [ qcheck_astar_parity; qcheck_multi_roundtrip ]) );
+            @ [ qcheck_astar_parity; qcheck_multi_roundtrip; qcheck_verify_memo; qcheck_digest_memo ]) );
       ])

@@ -127,10 +127,10 @@ let test_bucket_attribution () =
 
 let fixture_protocol = Sb_protocols.Gennaro.protocol
 
-let run_fixture () =
+let run_fixture ?(seed = 7) () =
   let ctx = Sb_sim.Ctx.make ~rng:(Sb_util.Rng.create 2026) ~n:5 ~thresh:2 ~k:8 () in
   let inputs = Array.init 5 (fun i -> Sb_sim.Msg.Bit (i mod 2 = 0)) in
-  Sb_sim.Network.run ctx ~rng:(Sb_util.Rng.create 7) ~protocol:fixture_protocol
+  Sb_sim.Network.run ctx ~rng:(Sb_util.Rng.create seed) ~protocol:fixture_protocol
     ~adversary:(Core.Adversaries.semi_honest fixture_protocol ~corrupt:[ 3; 4 ])
     ~inputs ()
 
@@ -208,7 +208,11 @@ let test_perfetto_parse_back () =
 
 let test_flame_aggregation () =
   with_trace (fun () ->
-      ignore (run_fixture ());
+      (* Share checks are memoised per domain by content
+         (Sb_protocols.Once) and earlier cases ran the default fixture,
+         so its checks would all be hits and no commit_pair work would
+         happen under this trace: run an execution with fresh shares. *)
+      ignore (run_fixture ~seed:8 ());
       let frames = Perfetto.flame () in
       Alcotest.(check bool) "frames exist" true (frames <> []);
       (* Deterministic: a second aggregation over the same spans is
