@@ -69,13 +69,7 @@ let m_violations = Sb_obs.Metrics.counter "check.violations"
 (* Whether party [p] has any distinct-endpoint point-to-point traffic
    in the pending queue — the only envelopes its omission/delay
    choices can touch. *)
-let has_p2p out p =
-  List.exists
-    (fun (e : Envelope.t) ->
-      match (Envelope.src_party e, Envelope.dst_party e) with
-      | Some s, Some d -> s = p && d <> p
-      | _ -> false)
-    out
+let has_p2p out p = List.exists (fun e -> Envelope.is_link e && Envelope.src_is e p) out
 
 (* Per-party action menu, deterministic order: healthy (None), crash,
    then — only when the party actually has traffic this round — the

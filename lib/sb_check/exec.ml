@@ -20,8 +20,9 @@ type status = Mid of Envelope.t list | Terminal of Msg.t array
    [out_keys] the envelope keys of that round's outgoing queue, in
    queue order. Sessions are deterministic functions of (config,
    delivered history), so the chain — not the opaque closure state —
-   canonically identifies each party's local state. *)
-type frontier = { hist : string array; out_keys : string list Lazy.t }
+   canonically identifies each party's local state. Every state of
+   one root's search reuses its [kernel]'s routers. *)
+type frontier = { hist : string array; out_keys : string list Lazy.t; kernel : Round.t }
 
 type snapshot = {
   digest : string;
@@ -53,92 +54,88 @@ let envelope_key (e : Envelope.t) =
 
 let envelopes_key envs = String.concat ";" (List.map envelope_key envs)
 
-(* Mutable replay state: the live sessions plus the fault bookkeeping
-   interception consults. The in-flight queue is threaded through the
-   round functions instead, keyed or not. *)
+(* A single broadcast session as a Protocol.t: the parties the checker
+   steps, and what Network.run runs to replay a witness. *)
+let single_session (scheme : Sb_broadcast.Session.scheme) ~sender ~value =
+  {
+    Protocol.name = "single-" ^ scheme.Sb_broadcast.Session.scheme_name;
+    rounds = scheme.Sb_broadcast.Session.rounds;
+    make_functionality = None;
+    make_party =
+      (fun ctx ~rng ~id ~input:_ ->
+        let s =
+          scheme.Sb_broadcast.Session.create ctx ~rng ~sid ~sender ~me:id
+            ~value:(if id = sender then Some value else None)
+        in
+        { Party.step = s.Sb_broadcast.Session.step; output = s.Sb_broadcast.Session.result });
+  }
+
+(* Mutable replay state: the live parties, the round kernel they step
+   through, and the fault bookkeeping interception consults. *)
 type state = {
   cfg : config;
-  sessions : Sb_broadcast.Session.t array;
-  crash_round : int array;
-  held : (int, Envelope.t list ref) Hashtbl.t;  (* due round -> held, arrival order *)
+  kernel : Round.t;
+  parties : (int * Party.t) list;
+  crashed : bool array;
+  mutable held : Envelope.t list;  (* delayed into the next round, newest first *)
 }
 
-let create config =
+(* A fresh run on [kernel]: empty mailboxes and all n parties built
+   afresh, party 0 first. Crashed parties are stepped too, exactly as
+   the real network steps honest-but-silenced parties. Substrate
+   schemes never consume their rng (they are deterministic given the
+   ctx); a fixed stream keeps the signature satisfied. *)
+let create config kernel =
   let n = config.ctx.Ctx.n in
-  (* Substrate schemes never consume their rng (they are deterministic
-     given the ctx); a fixed stream keeps the signature satisfied. *)
+  let protocol = single_session config.scheme ~sender:config.sender ~value:config.value in
   let rng = Sb_util.Rng.create 0 in
-  let sessions =
-    Array.init n (fun me ->
-        config.scheme.Sb_broadcast.Session.create config.ctx ~rng:(Sb_util.Rng.split rng)
-          ~sid ~sender:config.sender ~me
-          ~value:(if me = config.sender then Some config.value else None))
+  let parties =
+    List.init n (fun id ->
+        let rng = Sb_util.Rng.split rng in
+        (id, protocol.Protocol.make_party config.ctx ~rng ~id ~input:Msg.Unit))
   in
-  { cfg = config; sessions; crash_round = Array.make n max_int; held = Hashtbl.create 8 }
+  Round.clear kernel;
+  { cfg = config; kernel; parties; crashed = Array.make n false; held = [] }
 
-let inbox queue me = List.filter (fun e -> Envelope.delivered_to e me) queue
-
-(* Step every party on [inbox_of me] — crashed parties still step on
-   their (possibly empty) inboxes, exactly as the real network steps
-   honest-but-silenced parties. Returns the round's outgoing traffic
-   in party-id order, as sent. *)
-let step_round st ~round inbox_of =
-  let out = ref [] in
-  for me = st.cfg.ctx.Ctx.n - 1 downto 0 do
-    let inbox = inbox_of me in
-    out := st.sessions.(me).Sb_broadcast.Session.step ~round ~inbox @ !out
-  done;
-  !out
+let step st ~round = Round.step st.kernel ~round st.parties
 
 (* Interception, mirroring Inject.compile: crashes are tallied first
    and silence everything from the sender (self-delivery and broadcast
    included); omissions and delays are all-or-nothing for the round —
    the clean benign model, matching [drop:1:p->*@r] / [delay:1:p->*@r]
-   — and touch only distinct-endpoint point-to-point envelopes; held
-   envelopes due this round re-enter ahead of the surviving fresh
-   traffic. [open_round] tallies the crashes and returns the released
-   envelopes; [admits] decides one as-sent envelope, holding it when
-   delayed. *)
-let open_round st ~round (decision : decision) =
-  List.iter
-    (fun (p, a) ->
-      if a = Crash then st.crash_round.(p) <- min st.crash_round.(p) round)
-    decision;
-  match Hashtbl.find_opt st.held round with
-  | Some l ->
-      Hashtbl.remove st.held round;
-      List.rev !l
-  | None -> []
+   — and touch only links ({!Envelope.is_link}). Returns the held
+   envelopes due this round, which re-enter ahead of the fresh
+   traffic, and the fresh envelopes admitted, holding delayed ones. *)
+let intercept st (decision : decision) out =
+  List.iter (fun (p, a) -> if a = Crash then st.crashed.(p) <- true) decision;
+  let released = List.rev st.held in
+  st.held <- [];
+  let admits (e : Envelope.t) =
+    match Envelope.src_party e with
+    | Some i when st.crashed.(i) -> false
+    | Some s when Envelope.is_link e -> (
+        match List.assoc_opt s decision with
+        | Some Omit -> false
+        | Some Delay ->
+            st.held <- e :: st.held;
+            false
+        | Some Crash | None -> true)
+    | _ -> true
+  in
+  (released, List.filter admits out)
 
-let admits st ~round (decision : decision) (e : Envelope.t) =
-  match Envelope.src_party e with
-  | Some i when round >= st.crash_round.(i) -> false
-  | src -> (
-      match (src, Envelope.dst_party e) with
-      | Some s, Some d when s <> d -> (
-          match List.assoc_opt s decision with
-          | Some Omit -> false
-          | Some Delay ->
-              let due = round + 1 in
-              (match Hashtbl.find_opt st.held due with
-              | Some l -> l := e :: !l
-              | None -> Hashtbl.add st.held due (ref [ e ]));
-              false
-          | Some Crash | None -> true)
-      | _ -> true)
+(* The keys of [sub], a subsequence of [envs] whose keys are [keys],
+   matched by identity so nothing is serialised again: the admitted
+   part of a keyed queue, or a party's inbox from it (in queue order,
+   by Router's ordering invariant). *)
+let rec sub_keys envs keys sub =
+  match (sub, envs, keys) with
+  | [], _, _ -> []
+  | e :: sub', e' :: envs', k :: keys' when e == e' -> k :: sub_keys envs' keys' sub'
+  | _, _ :: envs', _ :: keys' -> sub_keys envs' keys' sub
+  | _ -> assert false
 
-let intercept st ~round decision out =
-  let released = open_round st ~round decision in
-  released @ List.filter (admits st ~round decision) out
-
-(* The same interception over [out] paired with its keys: released
-   envelopes are keyed here, surviving fresh ones keep theirs. *)
-let intercept_keyed st ~round decision out keys =
-  let released = open_round st ~round decision in
-  List.map (fun e -> (e, envelope_key e)) released
-  @ List.filter (fun (e, _) -> admits st ~round decision e) (List.combine out keys)
-
-(* Canonical state identity over the keyed in-flight [queue]. Crash
+(* Canonical state identity, over the in-flight queue's [keys]. Crash
    flags are booleans, not rounds: once a party is crashed, every
    future filter decision is the same whatever round it died in, and
    its delivered history is already in [hist] — so crash-at-r and
@@ -147,20 +144,15 @@ let intercept_keyed st ~round decision out keys =
    envelopes are dead state — no decision round remains that could
    consult or release them — so they are dropped and e.g. omit-all and
    delay-all of the final round's traffic reach the same state. *)
-let digest_of st ~round ~terminal ~hist queue =
+let digest_of st ~round ~terminal ~hist keys =
   let crashes =
     if terminal then ""
     else
-      String.init st.cfg.ctx.Ctx.n (fun i ->
-          if st.crash_round.(i) = max_int then '-' else 'x')
+      String.init st.cfg.ctx.Ctx.n (fun i -> if st.crashed.(i) then 'x' else '-')
   in
   let held =
-    if terminal then ""
-    else
-      Hashtbl.fold (fun due l acc -> (due, envelopes_key (List.rev !l)) :: acc) st.held []
-      |> List.sort compare
-      |> List.map (fun (due, k) -> string_of_int due ^ "=" ^ k)
-      |> String.concat "&"
+    if terminal || st.held = [] then ""
+    else string_of_int round ^ "=" ^ envelopes_key (List.rev st.held)
   in
   Digest.string
     (String.concat "#"
@@ -168,42 +160,43 @@ let digest_of st ~round ~terminal ~hist queue =
          string_of_int round;
          crashes;
          String.concat "!" (Array.to_list hist);
-         String.concat ";" (List.map snd queue);
+         String.concat ";" keys;
          held;
        ])
 
-let spent = { hist = [||]; out_keys = Lazy.from_val [] }
-
 (* Digest the state entering round [List.length decisions] — [hist]
-   covers every earlier round's deliveries, [queue] is this round's —
-   then run the round's deliveries. A Mid state extends the chain by
-   this round's inboxes, reusing the queue's keys; the final round is
-   delivery-only (the real network discards its outgoing queue before
-   interception) and its history never reaches a digest, so it is not
-   keyed. *)
-let settle st ~decisions ~hist queue =
+   covers every earlier round's deliveries, [queue] with its [keys] is
+   this round's — then route the queue and step the round. A Mid state
+   extends the chain by this round's inboxes, reusing the queue's
+   keys; the final round is delivery-only (the real network discards
+   its outgoing queue before interception) and its history never
+   reaches a digest, so it is not keyed. *)
+let settle st ~decisions ~hist queue keys =
   let round = List.length decisions in
   let terminal = round = total_rounds st.cfg in
-  let digest = digest_of st ~round ~terminal ~hist queue in
+  let digest = digest_of st ~round ~terminal ~hist keys in
+  Round.route st.kernel queue ~replies:[];
   if terminal then begin
-    let envs = List.map fst queue in
-    let _discarded = step_round st ~round (inbox envs) in
-    let results = Array.map (fun s -> s.Sb_broadcast.Session.result ()) st.sessions in
-    { digest; status = Terminal results; decisions; frontier = spent }
+    let _discarded = step st ~round in
+    let results = Array.of_list (List.map (fun (_, p) -> p.Party.output ()) st.parties) in
+    let frontier = { hist = [||]; out_keys = Lazy.from_val []; kernel = st.kernel } in
+    { digest; status = Terminal results; decisions; frontier }
   end
   else
-    let hist = Array.copy hist in
-    let out =
-      step_round st ~round (fun me ->
-          let mine = List.filter (fun (e, _) -> Envelope.delivered_to e me) queue in
-          hist.(me) <- Digest.string (hist.(me) ^ "|" ^ String.concat ";" (List.map snd mine));
-          List.map fst mine)
+    let mailboxes = Round.mailboxes st.kernel in
+    let hist =
+      Array.mapi
+        (fun me h ->
+          let mine = sub_keys queue keys (Router.inbox mailboxes me) in
+          Digest.string (h ^ "|" ^ String.concat ";" mine))
+        hist
     in
+    let out = step st ~round in
     {
       digest;
       status = Mid out;
       decisions;
-      frontier = { hist; out_keys = lazy (List.map envelope_key out) };
+      frontier = { hist; out_keys = lazy (List.map envelope_key out); kernel = st.kernel };
     }
 
 let mid_exn snap =
@@ -213,33 +206,38 @@ let mid_exn snap =
 
 (* [st] has just stepped [parent]'s Mid round, producing [out] — the
    parent's queue, envelope for envelope, since replay is
-   deterministic — so the parent's keys pair with it by position. *)
+   deterministic — so the parent's keys pair with it by position and
+   the admitted envelopes keep theirs; released ones are keyed here. *)
 let extend st parent d out =
-  let round = List.length parent.decisions in
-  let queue =
-    intercept_keyed st ~round d out (Lazy.force parent.frontier.out_keys)
+  let released, admitted = intercept st d out in
+  let keys =
+    List.map envelope_key released
+    @ sub_keys out (Lazy.force parent.frontier.out_keys) admitted
   in
-  settle st ~decisions:(parent.decisions @ [ d ]) ~hist:parent.frontier.hist queue
+  settle st ~decisions:(parent.decisions @ [ d ]) ~hist:parent.frontier.hist
+    (released @ admitted) keys
 
 let start config =
-  let st = create config in
-  (st, settle st ~decisions:[] ~hist:(Array.make config.ctx.Ctx.n "") [])
+  let n = config.ctx.Ctx.n in
+  let st = create config (Round.create ~cap:0 n) in
+  (st, settle st ~decisions:[] ~hist:(Array.make n "") [] [])
 
 let root config = snd (start config)
 
 let child config parent d =
   ignore (mid_exn parent);
-  (* Sessions are mutable closures and cannot be snapshotted: rebuild
+  (* Parties are mutable closures and cannot be snapshotted: rebuild
      them and re-step the prefix with the same inboxes, unkeyed. *)
-  let st = create config in
-  let round, queue =
+  let st = create config parent.frontier.kernel in
+  let round =
     List.fold_left
-      (fun (round, queue) decision ->
-        let out = step_round st ~round (inbox queue) in
-        (round + 1, intercept st ~round decision out))
-      (0, []) parent.decisions
+      (fun round decision ->
+        let released, admitted = intercept st decision (step st ~round) in
+        Round.route st.kernel (released @ admitted) ~replies:[];
+        round + 1)
+      0 parent.decisions
   in
-  extend st parent d (step_round st ~round (inbox queue))
+  extend st parent d (step st ~round)
 
 let replay config decisions =
   let st, root = start config in

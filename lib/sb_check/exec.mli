@@ -1,33 +1,31 @@
 (** Deterministic single-session executor for the model checker.
 
-    One broadcast session — one sender, one value, n parties driven as
-    {!Sb_broadcast.Session.t} closures — is executed under an explicit
-    per-round fault schedule. The round structure mirrors
-    {!Sb_sim.Network.run} exactly (deliver → collect → intercept →
-    route, with the final round delivery-only) and the fault semantics
-    mirror {!Sb_fault.Inject.compile}: a crash silences all of the
-    party's traffic from its crash round on, omissions and delays are
-    all-or-nothing for the round — the clean benign-fault granularity,
-    [drop:1:p->*\@r] / [delay:1:p->*\@r] — acting only on
-    distinct-endpoint point-to-point envelopes, and delayed envelopes
-    re-enter the queue ahead of that round's fresh traffic.
-    A terminal state reached here therefore agrees with a composed
-    [Network.run] execution of the same session under the compiled
-    {!Checker.plan_of_witness} fault plan — the counterexample
-    round-trip tests pin this down.
+    One broadcast session ({!single_session}) runs under an explicit
+    per-round fault schedule. Its rounds go through {!Sb_sim.Round},
+    the kernel {!Sb_sim.Network.run} steps too, so the round order —
+    step on this round's mailboxes, intercept, route; the final round
+    delivery-only — exists once. What stays here is the checker's own.
+    The decision filter mirrors {!Sb_fault.Inject.compile}: a crash
+    silences all of the party's traffic from its crash round on;
+    omissions and delays are all-or-nothing for the round, as in
+    [drop:1:p->*\@r] / [delay:1:p->*\@r], act only on links
+    ({!Sb_sim.Envelope.is_link}), and delayed envelopes re-enter the
+    queue ahead of the next round's fresh traffic. So a terminal state
+    agrees with [Network.run] on {!single_session} under the compiled
+    {!Checker.plan_of_witness} plan; the round-trip tests pin this.
 
     States are identified across paths by a canonical digest over the
     per-party inbox histories, the crash pattern, and the in-flight
-    queue (delivered and held envelopes). The search is root/child
-    shaped: {!root} is the state before round 0, and {!child} extends
-    a state by one round's decision. Sessions are mutable closures and
-    cannot be snapshotted, so [child] rebuilds them and re-steps the
-    parent's prefix with the same inboxes; but it keys nothing there.
-    Its digest is incremental: a snapshot carries the per-party history
-    digests after its [Mid] round's deliveries and the envelope keys of
-    its [Mid] queue (serialised at most once, shared by every child),
-    so a child keys only its new queue and any held envelopes. The
-    bytes digested are those of a from-scratch replay. *)
+    queue (delivered and held envelopes). {!root} is the state before
+    round 0; {!child} extends a state by one round's decision. Parties
+    are mutable closures and cannot be snapshotted, so [child] builds
+    all n afresh, party 0 first, on the routers of the root's kernel,
+    and re-steps the parent's prefix, keying nothing there. Its digest
+    is incremental: a snapshot carries the per-party history digests
+    after its [Mid] round and the keys of its [Mid] queue (serialised
+    at most once, shared by every child), so a child keys only its new
+    queue and any held envelopes — the bytes a from-scratch replay
+    digests. *)
 
 type action =
   | Crash  (** halt: all traffic from this round on is suppressed *)
@@ -58,7 +56,8 @@ type status =
 
 type frontier
 (** What a child needs from its parent: the history digests after the
-    parent's [Mid] round and the lazily computed keys of its queue. *)
+    parent's [Mid] round, the lazily computed keys of its queue, and
+    the round kernel shared by every state of the root's search. *)
 
 type snapshot = {
   digest : string;
@@ -95,6 +94,13 @@ val replay : config -> decision list -> snapshot
     set through the same per-round extension [child] uses, so every
     round is stepped once. @raise Invalid_argument if the list is
     longer than {!total_rounds}. *)
+
+val single_session :
+  Sb_broadcast.Session.scheme -> sender:int -> value:Sb_sim.Msg.t -> Sb_sim.Protocol.t
+(** One session of the scheme as a protocol: party [id] is the
+    scheme's session for [me = id], holding [value] iff it is the
+    sender. The executor steps exactly these parties; [Network.run]
+    on it replays what the executor simulates. *)
 
 val crashed_before : decision list -> int -> bool
 (** Whether party [i] has a [Crash] action anywhere in the prefix. *)

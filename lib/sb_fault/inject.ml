@@ -73,46 +73,44 @@ let compile ~n (plan : Plan.t) =
       let keep =
         List.filter
           (fun (e : Envelope.t) ->
-            match Envelope.src_party e with
-            | Some i when round >= crash_round.(i) -> false
-            | src -> (
-                match (src, Envelope.dst_party e) with
-                | Some s, Some d when s <> d ->
-                    (* A real point-to-point link: fault rules apply. *)
-                    if partitioned ~round ~src:s ~dst:d then begin
-                      Sb_obs.Metrics.incr m_drops;
-                      false
-                    end
-                    else
-                      (* A rule with a round scope is inert outside its
-                         sending round; the Bernoulli coin is drawn only
-                         for rules that actually match, so scoped rules
-                         never perturb the fault stream elsewhere. *)
-                      let in_scope = function None -> true | Some r -> r = round in
-                      let rec apply = function
-                        | [] -> true
-                        | `Drop (l, p, at) :: rest ->
-                            if in_scope at && Plan.link_matches l ~src:s ~dst:d then
-                              if Sb_util.Rng.bernoulli rng p then begin
-                                Sb_obs.Metrics.incr m_drops;
-                                false
-                              end
-                              else apply rest
-                            else apply rest
-                        | `Delay (l, by, at) :: rest ->
-                            if in_scope at && Plan.link_matches l ~src:s ~dst:d then begin
-                              Sb_obs.Metrics.incr m_delayed;
-                              hold ~due:(round + by) e;
-                              false
-                            end
-                            else apply rest
-                      in
-                      apply rules
-                | _ ->
-                    (* Self-delivery, the broadcast channel, and both
-                       directions of the ideal functionality channel
-                       are reliable; only crash-stop touches them. *)
-                    true))
+            match (Envelope.src_party e, Envelope.dst_party e) with
+            | Some i, _ when round >= crash_round.(i) -> false
+            | Some s, Some d when Envelope.is_link e ->
+                (* A real point-to-point link: fault rules apply. *)
+                if partitioned ~round ~src:s ~dst:d then begin
+                  Sb_obs.Metrics.incr m_drops;
+                  false
+                end
+                else
+                  (* A rule with a round scope is inert outside its
+                     sending round; the Bernoulli coin is drawn only
+                     for rules that actually match, so scoped rules
+                     never perturb the fault stream elsewhere. *)
+                  let in_scope = function None -> true | Some r -> r = round in
+                  let rec apply = function
+                    | [] -> true
+                    | `Drop (l, p, at) :: rest ->
+                        if in_scope at && Plan.link_matches l ~src:s ~dst:d then
+                          if Sb_util.Rng.bernoulli rng p then begin
+                            Sb_obs.Metrics.incr m_drops;
+                            false
+                          end
+                          else apply rest
+                        else apply rest
+                    | `Delay (l, by, at) :: rest ->
+                        if in_scope at && Plan.link_matches l ~src:s ~dst:d then begin
+                          Sb_obs.Metrics.incr m_delayed;
+                          hold ~due:(round + by) e;
+                          false
+                        end
+                        else apply rest
+                  in
+                  apply rules
+            | _ ->
+                (* Self-delivery, the broadcast channel, and both
+                   directions of the ideal functionality channel are
+                   reliable; only crash-stop touches them. *)
+                true)
           envs
       in
       released @ keep

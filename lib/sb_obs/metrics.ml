@@ -35,17 +35,17 @@ let[@inline] now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 type cost = { wall_s : float; minor_words : float; major_words : float }
 
 let measure f =
-  (* Gc.counters, not quick_stat: the latter refreshes its allocation
-     totals only at collection boundaries, so a short call would read
-     as allocation-free. Gc.counters is per domain, so the words of
-     pool tasks that ran on other domains are added from the pool's
-     running totals. *)
-  let min0, _, maj0 = Gc.counters () in
+  (* Minor words from Gc.minor_words, which counts up to the current
+     allocation pointer: Gc.counters lags a domain's allocation by up
+     to one minor heap, and quick_stat refreshes only at collection
+     boundaries. Both are per domain, so the words of pool tasks that
+     ran on other domains are added from the pool's running totals. *)
+  let min0 = Gc.minor_words () and _, _, maj0 = Gc.counters () in
   let wmin0, wmaj0 = Sb_par.Pool.worker_words () in
   let t0 = now_s () in
   let r = f () in
   let t1 = now_s () in
-  let min1, _, maj1 = Gc.counters () in
+  let min1 = Gc.minor_words () and _, _, maj1 = Gc.counters () in
   let wmin1, wmaj1 = Sb_par.Pool.worker_words () in
   ( r,
     {

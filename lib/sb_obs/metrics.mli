@@ -30,13 +30,14 @@ val now_s : unit -> float
 
 type cost = {
   wall_s : float;  (** {!now_s} delta *)
-  minor_words : float;  (** [Gc.counters] deltas, pool workers included *)
+  minor_words : float;  (** [Gc.minor_words] deltas, pool workers included *)
   major_words : float;
 }
 
 val measure : (unit -> 'a) -> 'a * cost
 (** Run the thunk and return its result with its wall clock and the
-    words it allocated: the calling domain's [Gc.counters] delta plus
+    words it allocated: the calling domain's [Gc.minor_words] (minor)
+    and [Gc.counters] (major) deltas plus
     the words {!Sb_par.Pool} tasks allocated on worker domains meanwhile
     ({!Sb_par.Pool.worker_words}), so the figure covers work the thunk
     fans out at any [--jobs]. Pool work started by other threads of

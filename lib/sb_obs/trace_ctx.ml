@@ -69,7 +69,7 @@ let reset () =
 let now_us () = Metrics.now_s () *. 1e6
 
 let fresh_span ~parent ~track ~agg ~cat ~args name =
-  let min0, _, maj0 = Gc.counters () in
+  let min0 = Gc.minor_words () and _, _, maj0 = Gc.counters () in
   {
     id = Atomic.fetch_and_add next_id 1 + 1;
     parent;
@@ -118,7 +118,7 @@ let end_span (h : h) =
   | None -> ()
   | Some sp ->
       sp.end_us <- now_us ();
-      let min1, _, maj1 = Gc.counters () in
+      let min1 = Gc.minor_words () and _, _, maj1 = Gc.counters () in
       sp.minor_words <- min1 -. sp.minor0;
       sp.major_words <- maj1 -. sp.major0;
       let stack = Domain.DLS.get stack_key in
@@ -134,13 +134,6 @@ let end_span (h : h) =
           in
           stack := drop other);
       locked (fun () -> completed := sp :: !completed)
-
-let with_span ?agg ?args ~cat name f =
-  if not !on_flag then f ()
-  else begin
-    let sp = begin_span ?agg ?args ~cat name in
-    Fun.protect ~finally:(fun () -> end_span sp) f
-  end
 
 let flow ~src ~dst =
   match (src, dst) with

@@ -71,10 +71,6 @@ val end_span : h -> unit
 (** Close the span: stamps [end_us] and the Gc deltas, pops it from the
     open stack (tolerating unbalanced inner spans), and records it. *)
 
-val with_span :
-  ?agg:string -> ?args:(string * string) list -> cat:string -> string -> (unit -> 'a) -> 'a
-(** [begin_span]/[end_span] around a thunk; closes even on exceptions. *)
-
 val flow : src:h -> dst:h -> unit
 (** Record one causal edge (e.g. sender party span -> recipient round
     span for a delivered envelope). No-op if either side is [None]. *)

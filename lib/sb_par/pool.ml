@@ -17,7 +17,7 @@ let worker_index () = Domain.DLS.get ix_key
 
 (* Words allocated by [map_chunks] tasks on domains other than their
    submitter, summed over every pool; the submitter's own words show in
-   its own [Gc.counters]. *)
+   its own [Gc.minor_words] / [Gc.counters]. *)
 let foreign_minor = Atomic.make 0
 let foreign_major = Atomic.make 0
 let worker_words () = (Atomic.get foreign_minor, Atomic.get foreign_major)
@@ -87,9 +87,9 @@ let map_chunks t ~f arr =
       let r =
         if Domain.self () = submitter then apply i
         else begin
-          let min0, _, maj0 = Gc.counters () in
+          let min0 = Gc.minor_words () and _, _, maj0 = Gc.counters () in
           let r = apply i in
-          let min1, _, maj1 = Gc.counters () in
+          let min1 = Gc.minor_words () and _, _, maj1 = Gc.counters () in
           ignore (Atomic.fetch_and_add foreign_minor (int_of_float (min1 -. min0)));
           ignore (Atomic.fetch_and_add foreign_major (int_of_float (maj1 -. maj0)));
           r

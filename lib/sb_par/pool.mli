@@ -44,7 +44,7 @@ val worker_words : unit -> int * int
 (** Running totals of the minor and major words that [map_chunks]
     tasks allocated on a domain other than the one that submitted them,
     summed over every pool of the process. A caller that adds the
-    change in these totals to its own [Gc.counters] delta gets the
+    change in these totals to its own Gc deltas gets the
     words of the work it fanned out; the one-domain path runs every
     task on the caller and adds nothing here. *)
 

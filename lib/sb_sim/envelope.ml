@@ -22,6 +22,8 @@ let is_broadcast e = e.dst = All
 let is_func_bound e = e.dst = Func
 let is_from_func e = e.src = Func
 
+let is_link e = match (e.src, e.dst) with Party s, Party d -> s <> d | _ -> false
+
 let delivered_to e i =
   match e.dst with Party j -> j = i | All -> true | Func -> false
 

@@ -46,6 +46,11 @@ val is_broadcast : t -> bool
 val is_func_bound : t -> bool
 val is_from_func : t -> bool
 
+val is_link : t -> bool
+(** Whether the envelope travels a faultable link: both endpoints are
+    parties, and distinct. Self-delivery, the broadcast channel and the
+    functionality channel are reliable; link faults touch only links. *)
+
 val delivered_to : t -> int -> bool
 (** Whether the envelope reaches party [i]'s inbox: direct address or
     broadcast. *)

@@ -35,38 +35,12 @@ let m_bytes_p2p = Sb_obs.Metrics.counter "sim.bytes.p2p"
 let m_forged = Sb_obs.Metrics.counter "sim.forgeries_dropped"
 let h_round_us = Sb_obs.Metrics.histogram "sim.round_duration_us"
 
-(* Aggregate throughput gauges, recomputed at every run completion
-   from the cumulative counters and the cumulative in-run wall clock
-   (itself a gauge, so Metrics.reset rebases the rates too). The
-   mutex serialises the read-modify-write of the wall total across
-   sampler domains. *)
-let g_wall = Sb_obs.Metrics.gauge "sim.run_wall_s_total"
-let g_sessions_ps = Sb_obs.Metrics.gauge "sim.sessions_per_sec"
-let g_msgs_ps = Sb_obs.Metrics.gauge "sim.msgs_per_sec"
-let g_bytes_ps = Sb_obs.Metrics.gauge "sim.bytes_per_sec"
-let wall_lock = Mutex.create ()
-
 type interceptor = round:int -> Envelope.t list -> Envelope.t list
 
-(* The round loop runs five explicit phases over a route-indexed
-   delivery queue (see Router):
-
-     deliver    parties and the adversary read this round's mailboxes;
-     collect    honest parties step and emit their outgoing envelopes;
-     rush       the adversary observes same-round honest traffic and
-                answers; spoofed sources are dropped;
-     intercept  the fault interceptor filters the flat outgoing queue
-                (honest + adversarial + functionality-bound traffic,
-                exactly as sent);
-     route      the functionality consumes Func-bound envelopes, and
-                the surviving queue — party traffic first, then
-                functionality replies — is dispatched into the next
-                round's router.
-
-   The router preserves enqueue order per recipient (Router's ordering
-   invariant), so each phase sees byte-for-byte what the seed
-   list-filter engine showed it; only the delivery cost changed, from
-   O(parties x envelopes) to O(envelopes) per round. *)
+(* A round runs four phases, numbered in the loop below and named as
+   its trace spans: collect, rush, intercept, route. The Round kernel
+   does collect and the routing step of route, the parts with no
+   metrics and no tracing; the model checker's executor runs it too. *)
 let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~inputs
     ?(aux = Msg.Unit) ?(record_trace = true) ?(record_comm = false)
     ?(reuse_envelopes = false) ?faults () =
@@ -113,15 +87,10 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
       ~aux
   in
   let total_rounds = protocol.rounds ctx in
-  (* Two routers ping-pong across rounds: [mailboxes] holds this
-     round's deliveries, [staging] is cleared and refilled with the
-     next round's queue, then they swap. *)
   (* Preallocating mailbox capacity under reuse avoids the first
      rounds' doubling-growth copies; capacity is retained across the
      run either way. *)
-  let router_cap = if reuse_envelopes then n else 0 in
-  let mailboxes = ref (Router.create ~cap:router_cap n) in
-  let staging = ref (Router.create ~cap:router_cap n) in
+  let kernel = Round.create ~cap:(if reuse_envelopes then n else 0) n in
   (* Monte-Carlo sampling passes [record_trace:false]: the per-round
      envelope lists are then dropped as soon as the round ends instead
      of being retained for the whole run, and the tally below is the
@@ -134,7 +103,6 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
      Bodies are sized only when a byte figure is reported. *)
   let tally = Trace.tally ~bytes:(record_comm || metrics_run) in
   let deliveries = ref 0 in
-  let run_t0 = if metrics_run then Sb_obs.Metrics.now_s () else 0.0 in
   (* Causal tracing (Trace_ctx): off by default, one boolean load here.
      When enabled, this run becomes one session span tree — session ->
      round -> {collect/rush/intercept/route} phases -> party — plus a
@@ -157,6 +125,27 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
   let party_span =
     if tracing then Array.make n Sb_obs.Trace_ctx.none else [||]
   in
+  (* What the kernel steps: under tracing, each party's step is wrapped
+     once per run in its party span. *)
+  let stepped =
+    if not tracing then parties
+    else
+      List.map
+        (fun (id, (party : Party.t)) ->
+          let step ~round ~inbox =
+            let sp =
+              Sb_obs.Trace_ctx.begin_span ~agg:"party" ~cat:"party"
+                ~args:[ ("id", string_of_int id) ]
+                (Printf.sprintf "P%d" id)
+            in
+            party_span.(id) <- sp;
+            let out = party.step ~round ~inbox in
+            Sb_obs.Trace_ctx.end_span sp;
+            out
+          in
+          (id, { party with step }))
+        parties
+  in
   (* Sender spans of envelopes routed into the next round; when that
      round's span opens these become its incoming flow edges. *)
   let pending : Sb_obs.Trace_ctx.h list ref = ref [] in
@@ -168,7 +157,6 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
       (match ctx.pool with Some a -> Envelope.Arena.flip a | None -> ());
     let metrics_on = Sb_obs.Metrics.enabled () in
     let t0 = if metrics_on then Sb_obs.Metrics.now_s () else 0.0 in
-    let inbox_router = !mailboxes in
     let last = round = total_rounds in
     let s_round =
       if tracing then begin
@@ -183,39 +171,12 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
       end
       else Sb_obs.Trace_ctx.none
     in
-    (* 1. Deliver + collect: honest parties step on their mailboxes. *)
+    (* 1. Collect: honest parties step on their mailboxes. *)
     let s_collect =
       if tracing then Sb_obs.Trace_ctx.begin_span ~agg:"collect" ~cat:"phase" "collect"
       else Sb_obs.Trace_ctx.none
     in
-    let honest_out =
-      List.concat_map
-        (fun (id, party) ->
-          let sp =
-            if tracing then begin
-              let sp =
-                Sb_obs.Trace_ctx.begin_span ~agg:"party" ~cat:"party"
-                  ~args:[ ("id", string_of_int id) ]
-                  (Printf.sprintf "P%d" id)
-              in
-              party_span.(id) <- sp;
-              sp
-            end
-            else Sb_obs.Trace_ctx.none
-          in
-          let inbox =
-            if tracing then
-              Sb_obs.Trace_ctx.with_span ~agg:"deliver" ~cat:"phase" "deliver" (fun () ->
-                  Router.inbox inbox_router id)
-            else Router.inbox inbox_router id
-          in
-          let out = party.Party.step ~round ~inbox in
-          (* Authenticated channels: an honest party only speaks as itself. *)
-          List.iter (fun e -> assert (Envelope.src_is e id)) out;
-          Sb_obs.Trace_ctx.end_span sp;
-          out)
-        parties
-    in
+    let honest_out = Round.step kernel ~round stepped in
     Sb_obs.Trace_ctx.end_span s_collect;
     (* 2. Rush: the adversary sees same-round honest traffic — minus
        the ideal channel to the functionality — plus everything the
@@ -225,7 +186,7 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
       else Sb_obs.Trace_ctx.none
     in
     let rushed = List.filter (fun e -> not (Envelope.is_func_bound e)) honest_out in
-    let delivered = Router.delivered_to_any inbox_router corrupted in
+    let delivered = Router.delivered_to_any (Round.mailboxes kernel) corrupted in
     let adv_out_raw = strategy.Adversary.act { round; delivered; rushed } in
     (* Drop spoofed envelopes. *)
     let adv_out =
@@ -287,13 +248,8 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
       Sb_obs.Metrics.incr m_rounds;
       Sb_obs.Metrics.observe h_round_us ((Sb_obs.Metrics.now_s () -. t0) *. 1e6)
     end;
-    let next = !staging in
-    Router.clear next;
-    List.iter
-      (fun e -> if not (Envelope.is_func_bound e) then Router.route next e)
-      all_out;
-    Router.route_all next func_out;
-    if record_comm then deliveries := !deliveries + Router.total next;
+    Round.route kernel all_out ~replies:func_out;
+    if record_comm then deliveries := !deliveries + Router.total (Round.mailboxes kernel);
     Sb_obs.Trace_ctx.end_span s_route;
     if tracing && not last then begin
       (* One causal edge per delivered envelope: sender span -> next
@@ -313,8 +269,6 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
         all_out;
       List.iter (fun _ -> pending := s_route :: !pending) func_out
     end;
-    staging := inbox_router;
-    mailboxes := next;
     Sb_obs.Trace_ctx.end_span s_round
   done;
   if tracing then begin
@@ -322,27 +276,12 @@ let run (ctx : Ctx.t) ~rng ~(protocol : Protocol.t) ~(adversary : Adversary.t) ~
     Sb_obs.Trace_ctx.end_span s_session
   end;
   if metrics_run && Sb_obs.Metrics.enabled () then begin
-    (* Add the run's traffic to the counters (once per run, so the
-       body-sizing decision taken at the start covers all of it), fold
-       its wall time into the cumulative total and refresh the
-       throughput gauges from the cumulative counters. Gauges are
-       wall-clock derived and therefore not part of the deterministic
-       counter surface. *)
+    (* Add the run's traffic to the counters once per run, so the
+       body-sizing decision taken at the start covers all of it. *)
     Sb_obs.Metrics.incr ~by:tally.Trace.broadcasts m_bcast;
     Sb_obs.Metrics.incr ~by:tally.Trace.p2p m_p2p;
     Sb_obs.Metrics.incr ~by:tally.Trace.broadcast_bytes m_bytes_bcast;
-    Sb_obs.Metrics.incr ~by:tally.Trace.p2p_bytes m_bytes_p2p;
-    let wall = Sb_obs.Metrics.now_s () -. run_t0 in
-    Mutex.lock wall_lock;
-    let total = Sb_obs.Metrics.gauge_value g_wall +. wall in
-    Sb_obs.Metrics.set g_wall total;
-    if total > 0.0 then begin
-      let c m = float_of_int (Sb_obs.Metrics.counter_value m) in
-      Sb_obs.Metrics.set g_sessions_ps (c m_runs /. total);
-      Sb_obs.Metrics.set g_msgs_ps ((c m_bcast +. c m_p2p) /. total);
-      Sb_obs.Metrics.set g_bytes_ps ((c m_bytes_bcast +. c m_bytes_p2p) /. total)
-    end;
-    Mutex.unlock wall_lock
+    Sb_obs.Metrics.incr ~by:tally.Trace.p2p_bytes m_bytes_p2p
   end;
   {
     outputs = List.map (fun (id, party) -> (id, party.Party.output ())) parties;

@@ -1,30 +1,29 @@
 (** The partially synchronous network of §3.1, executable.
 
-    Delivery is route-indexed: each round's queue lives in a {!Router}
-    whose per-recipient mailboxes preserve enqueue order, so inboxes
-    are read in linear time instead of re-filtering a flat list per
-    party, while staying byte-identical to the flat-list semantics
-    (Router's ordering invariant; pinned by test/test_router.ml).
-    Every traffic figure of a run — [p2p_messages], [comm] and the
-    [sim.broadcasts]/[sim.p2p]/[sim.bytes.*] counters — comes from
-    one {!Trace.tally} fed each
+    Delivery is route-indexed ({!Router}): inboxes are read in linear
+    time, byte-identical to re-filtering a flat queue per party
+    (pinned by test/test_router.ml). Every traffic figure of a run —
+    [p2p_messages], [comm] and the [sim.broadcasts]/[sim.p2p]/
+    [sim.bytes.*] counters — comes from one {!Trace.tally} fed each
     round's traffic as sent (pre-fault), the same rule the trace-side
     counts of {!Trace} apply.
 
-    Each round proceeds in a fixed order that encodes the model
-    (deliver -> collect -> rush -> intercept -> route):
+    Each round proceeds in a fixed order that encodes the model. The
+    first and last steps are the {!Round} kernel, which the model
+    checker steps its rounds through too; the rest wraps it:
 
     + honest parties step on the envelopes delivered this round and
-      produce their outgoing envelopes;
+      produce their outgoing envelopes (kernel);
     + the adversary observes (a) everything just delivered to corrupted
       parties and (b) the honest parties' outgoing traffic of this very
       round — rushing — except functionality-bound envelopes, which
-      travel on the ideal channel;
-    + the adversary emits the corrupted parties' envelopes; anything
-      with a non-corrupted source is dropped (authenticated channels);
-    + the functionality consumes all Func-addressed envelopes of the
-      round and produces replies;
-    + everything is queued for delivery at the start of the next round.
+      travel on the ideal channel; it emits the corrupted parties'
+      envelopes, and any with a non-corrupted source is dropped
+      (authenticated channels);
+    + the fault interceptor filters the round's traffic, and the
+      functionality consumes its Func-addressed envelopes and replies;
+    + everything is routed for delivery at the start of the next round
+      (kernel).
 
     After the protocol's declared number of rounds, one final
     delivery-only step runs (outgoing messages are discarded), then

@@ -22,22 +22,6 @@ let scheme_exn name =
   | Some s -> s
   | None -> Alcotest.failf "unknown scheme %s" name
 
-(* A single broadcast session as a Protocol.t, so Network.run can
-   drive exactly what Exec.replay simulates. *)
-let single_session (scheme : Sb_broadcast.Session.scheme) ~sender ~value =
-  {
-    Protocol.name = "single-" ^ scheme.Sb_broadcast.Session.scheme_name;
-    rounds = scheme.Sb_broadcast.Session.rounds;
-    make_functionality = None;
-    make_party =
-      (fun ctx ~rng ~id ~input:_ ->
-        let s =
-          scheme.Sb_broadcast.Session.create ctx ~rng ~sid:"chk" ~sender ~me:id
-            ~value:(if id = sender then Some value else None)
-        in
-        { Party.step = s.Sb_broadcast.Session.step; output = s.Sb_broadcast.Session.result });
-  }
-
 let witness_of ~sender ~value ~faulty decisions =
   {
     Checker.w_property = Checker.Agreement;
@@ -52,7 +36,7 @@ let witness_of ~sender ~value ~faulty decisions =
 let network_results ctx scheme ~sender ~value ~faulty decisions =
   let n = ctx.Ctx.n in
   let plan = Checker.plan_of_witness (witness_of ~sender ~value ~faulty decisions) in
-  let protocol = single_session scheme ~sender ~value in
+  let protocol = Exec.single_session scheme ~sender ~value in
   let inputs = Array.init n (fun i -> if i = sender then value else Msg.Bit false) in
   let r =
     Network.run ctx
@@ -393,6 +377,43 @@ let test_child_matches_seed () =
     (fun (what, k) -> Alcotest.(check bool) (what ^ " decisions covered") true (!k > 0))
     [ ("crash", crashes); ("omit", omits); ("delay", delays); ("release", releases) ]
 
+(* The contract check-n5's per-state wall stamps rely on: every
+   Exec.child call builds the n sessions afresh, party 0 first. *)
+let test_child_creates_sessions () =
+  let scheme = scheme_exn "bracha" in
+  let created = ref [] in
+  let counting =
+    {
+      scheme with
+      Sb_broadcast.Session.create =
+        (fun ctx ~rng ~sid ~sender ~me ~value ->
+          created := me :: !created;
+          scheme.Sb_broadcast.Session.create ctx ~rng ~sid ~sender ~me ~value);
+    }
+  in
+  let config =
+    { Exec.ctx = ctx_for 4 1; scheme = counting; sender = 0; value = Msg.Bit true;
+      faulty = [ 3 ] }
+  in
+  let children = ref 0 in
+  let rec go snap =
+    match snap.Exec.status with
+    | Exec.Terminal _ -> ()
+    | Exec.Mid out ->
+        List.iter
+          (fun d ->
+            created := [];
+            let c = Exec.child config snap d in
+            incr children;
+            Alcotest.(check (list int))
+              (Printf.sprintf "creates of child %d" !children)
+              [ 0; 1; 2; 3 ] (List.rev !created);
+            go c)
+          (alphabet config snap.Exec.decisions out)
+  in
+  go (Exec.root config);
+  Alcotest.(check bool) "children expanded" true (!children > 0)
+
 let test_child_of_terminal_rejected () =
   let config =
     { Exec.ctx = ctx_for 4 1; scheme = scheme_exn "dolev-strong"; sender = 0;
@@ -615,6 +636,8 @@ let () =
           Alcotest.test_case "child matches the seed replay (n=4)" `Quick
             test_child_matches_seed;
           Alcotest.test_case "terminal has no children" `Quick test_child_of_terminal_rejected;
+          Alcotest.test_case "child creates n sessions, party 0 first" `Quick
+            test_child_creates_sessions;
         ] );
       ( "verdicts",
         [

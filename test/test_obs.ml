@@ -117,6 +117,35 @@ let test_measure_counts_pool_workers () =
         Alcotest.failf "measure saw %.0f minor words; the two tasks allocated %d"
           cost.Metrics.minor_words (2 * 4 * k))
 
+let test_measure_exact_on_worker () =
+  (* Like the test above, one of the two tasks runs on the spawned
+     worker; each allocates [k] four-word blocks, well under one minor
+     heap in all, so a counter that lags by up to a minor heap (OCaml
+     5.1's [Gc.counters]) reads far low. [measure] must report the
+     words within 1%. *)
+  let k = 25_000 in
+  let pool = Sb_par.Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Sb_par.Pool.shutdown pool)
+    (fun () ->
+      let started = Atomic.make 0 in
+      let task _ =
+        Atomic.incr started;
+        while Atomic.get started < 2 do
+          Domain.cpu_relax ()
+        done;
+        for i = 1 to k do
+          ignore (Sys.opaque_identity (Array.make 3 i))
+        done
+      in
+      let (), cost =
+        Metrics.measure (fun () -> ignore (Sb_par.Pool.map_chunks pool ~f:task [| 0; 1 |]))
+      in
+      let expected = float_of_int (2 * 4 * k) in
+      if Float.abs (cost.Metrics.minor_words -. expected) > 0.01 *. expected then
+        Alcotest.failf "measure saw %.0f minor words; the two tasks allocated %.0f"
+          cost.Metrics.minor_words expected)
+
 let test_histogram_first_registration_wins () =
   with_obs (fun () ->
       let h = Metrics.histogram ~buckets:[| 1.0; 2.0; 3.0 |] "t.rereg" in
@@ -510,6 +539,8 @@ let () =
           Alcotest.test_case "histogram first registration wins" `Quick
             test_histogram_first_registration_wins;
           Alcotest.test_case "measure counts pool workers" `Quick test_measure_counts_pool_workers;
+          Alcotest.test_case "measure exact on a worker domain" `Quick
+            test_measure_exact_on_worker;
         ] );
       ( "json",
         [
